@@ -482,6 +482,9 @@ struct CqState {
     /// pending/claimed requests plus queued events. The submit-side window
     /// bound — queued events can never exceed it.
     outstanding: usize,
+    /// A pending [`CompletionQueue::wake`]: the next `recv_timeout`
+    /// returns at once instead of waiting.
+    woken: bool,
 }
 
 /// The bounded per-client completion queue: an mpsc channel in the vendored
@@ -571,18 +574,29 @@ impl CompletionQueue {
     /// other means.
     pub(crate) fn recv_timeout(&self, timeout: Duration) -> Option<Completion> {
         let mut st = self.state.lock().expect("completion queue");
-        if st.events.is_empty() {
+        if st.events.is_empty() && !st.woken {
             let (guard, _timed_out) = self
                 .not_empty
                 .wait_timeout(st, timeout)
                 .expect("completion queue");
             st = guard;
         }
+        st.woken = false;
         let ev = st.events.pop_front()?;
         st.outstanding = st.outstanding.saturating_sub(1);
         drop(st);
         self.not_full.notify_one();
         Some(ev)
+    }
+
+    /// Make the current or next [`CompletionQueue::recv_timeout`] return
+    /// without waiting out its timeout, so a receiver polling an outside
+    /// stop condition re-checks it now. The wake is kept until a
+    /// `recv_timeout` consumes it, so it cannot be lost to a receiver
+    /// that is not waiting yet.
+    pub(crate) fn wake(&self) {
+        self.state.lock().expect("completion queue").woken = true;
+        self.not_empty.notify_all();
     }
 
     /// Non-blocking receive: the next event if one is already queued.

@@ -7,13 +7,25 @@
 //! eventually, other machines) without changing what it computes:
 //!
 //! * **Framing** — compact length-prefixed frames: a 4-byte little-endian
-//!   payload length (capped at [`MAX_FRAME`]) followed by a binary
-//!   encoding of the vendored serde [`Value`] tree (tag byte + LEB128
-//!   varints; floats travel as raw IEEE-754 bits, so labels received
-//!   over TCP are **byte-identical** to the in-process client's). The
-//!   decoder is total: truncation, oversized claims, unknown tags, bad
-//!   UTF-8, and pathological nesting all return [`WireError`] — never a
-//!   panic.
+//!   payload length (capped at [`MAX_FRAME`]) followed by the binary
+//!   encoding of the frame's vendored serde [`Value`] tree (tag byte +
+//!   LEB128 varints; floats travel as raw IEEE-754 bits, so labels
+//!   received over TCP are **byte-identical** to the in-process
+//!   client's). A length claim commits memory only as its bytes arrive:
+//!   the reader grows one reused payload buffer in chunks of at most
+//!   64 KiB.
+//! * **Typed frame codec** — the connections never build that tree. A
+//!   private `Wire` trait encodes [`ClientFrame`] / [`ServerFrame`]
+//!   straight from the typed data into the frame buffer, emitting exactly
+//!   the bytes of `encode_value(&frame.to_value())`, and decodes straight
+//!   back into typed frames. Canonical form is required: object keys in
+//!   field-declaration order with none missing or extra, each field under
+//!   its type's own tag, known variant names, no trailing bytes. Anything
+//!   else — and any truncation, oversized claim or bad count — is a
+//!   [`WireError`], never a panic. [`encode_value`] / [`decode_value`]
+//!   stay as the generic reference codec for arbitrary value trees (item
+//!   files, tests, the benchmark); whatever the typed decoder accepts,
+//!   `decode_value` + `from_value` decodes to the same frame.
 //! * **Multiplexing** — one persistent connection carries many tickets.
 //!   The client picks a request id per submission and the server echoes
 //!   it in the terminal [`ServerFrame::Completion`] (the embedded
@@ -43,12 +55,13 @@
 //! must get an answer, so the connection sends
 //! [`ServerFrame::Rejected`] instead.
 
-use crate::completion::Completion;
+use crate::completion::{Completion, LabelResult, ShedReason};
 use crate::server::{AmsServer, Client, ServeReport, SubmitOptions};
 use ams_data::ItemTruth;
+use ams_models::{Detection, LabelId, ModelId, ModelOutput};
 use serde::{Deserialize, Serialize, Value};
 use std::collections::HashMap;
-use std::io::{ErrorKind, Read, Write};
+use std::io::{BufReader, ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
@@ -70,6 +83,11 @@ const MAX_DEPTH: u32 = 64;
 /// stop conditions.
 const POLL: Duration = Duration::from_millis(50);
 
+/// Size of each connection's socket read buffer, the step a frame read
+/// grows its payload buffer by, and the capacity every per-connection
+/// frame buffer is trimmed back to after an unusually large frame.
+const BUF_CHUNK: usize = 64 * 1024;
+
 // ---------------------------------------------------------------------------
 // Wire errors
 // ---------------------------------------------------------------------------
@@ -86,7 +104,7 @@ pub enum WireError {
     FrameTooLarge(u32),
     /// The frame payload did not decode (truncated value, unknown tag,
     /// bad UTF-8, over-deep nesting, trailing bytes, or a well-formed
-    /// value of the wrong shape).
+    /// value of the wrong shape or not in canonical field order).
     Malformed(String),
     /// A well-formed frame that violates the protocol (first frame not
     /// `Hello`, duplicate request id, frame after `Goodbye`).
@@ -257,6 +275,59 @@ impl<'a> Cursor<'a> {
             .map_err(|_| WireError::Malformed("invalid utf-8 in string".into()))
     }
 
+    /// Consume one tag byte that must be `want` (the typed decoder's
+    /// "this field has that type" check).
+    fn tag(&mut self, want: u8) -> Result<(), WireError> {
+        match self.byte()? {
+            got if got == want => Ok(()),
+            got => Err(WireError::Malformed(format!(
+                "expected tag {want:#04x}, found {got:#04x}"
+            ))),
+        }
+    }
+
+    fn f64(&mut self) -> Result<f64, WireError> {
+        let bytes: [u8; 8] = self
+            .take(8)?
+            .try_into()
+            .map_err(|_| WireError::Malformed("truncated f64".into()))?;
+        Ok(f64::from_bits(u64::from_le_bytes(bytes)))
+    }
+
+    /// An object header with exactly `fields` entries.
+    fn object(&mut self, fields: usize) -> Result<(), WireError> {
+        self.tag(TAG_OBJECT)?;
+        match self.varint()? {
+            n if n == fields as u64 => Ok(()),
+            n => Err(WireError::Malformed(format!(
+                "object has {n} fields, expected {fields}"
+            ))),
+        }
+    }
+
+    /// The next object key, which must be `name` (canonical field order).
+    fn key(&mut self, name: &str) -> Result<(), WireError> {
+        let len = self.count(1)?;
+        if self.take(len)? == name.as_bytes() {
+            Ok(())
+        } else {
+            Err(WireError::Malformed(format!("expected field `{name}`")))
+        }
+    }
+
+    /// An externally tagged enum header: a bare name string (unit
+    /// variant, `false`) or a one-entry object keyed by the name (variant
+    /// with a payload, `true`, the payload follows).
+    fn variant(&mut self) -> Result<(bool, &'a [u8]), WireError> {
+        let payload = match self.byte()? {
+            TAG_STR => false,
+            TAG_OBJECT if self.varint()? == 1 => true,
+            _ => return Err(WireError::Malformed("expected an enum variant".into())),
+        };
+        let len = self.count(1)?;
+        Ok((payload, self.take(len)?))
+    }
+
     fn value(&mut self, depth: u32) -> Result<Value, WireError> {
         if depth > MAX_DEPTH {
             return Err(WireError::Malformed("value nested too deeply".into()));
@@ -270,13 +341,7 @@ impl<'a> Cursor<'a> {
                 let z = self.varint()?;
                 Ok(Value::I64(((z >> 1) as i64) ^ -((z & 1) as i64)))
             }
-            TAG_F64 => {
-                let bytes: [u8; 8] = self
-                    .take(8)?
-                    .try_into()
-                    .map_err(|_| WireError::Malformed("truncated f64".into()))?;
-                Ok(Value::F64(f64::from_bits(u64::from_le_bytes(bytes))))
-            }
+            TAG_F64 => Ok(Value::F64(self.f64()?)),
             TAG_STR => Ok(Value::Str(self.string()?)),
             TAG_ARRAY => {
                 let n = self.count(1)?;
@@ -428,20 +493,390 @@ fn with_wire_id(mut ev: Completion, id: u64) -> Completion {
 }
 
 // ---------------------------------------------------------------------------
+// Typed frame codec
+// ---------------------------------------------------------------------------
+
+fn put_str(out: &mut Vec<u8>, s: &str) {
+    put_varint(out, s.len() as u64);
+    out.extend_from_slice(s.as_bytes());
+}
+
+/// The header of an externally tagged variant with a payload: a
+/// one-entry object keyed by the variant name (the payload follows).
+fn put_variant(out: &mut Vec<u8>, name: &str) {
+    out.push(TAG_OBJECT);
+    put_varint(out, 1);
+    put_str(out, name);
+}
+
+/// Encode named fields — local bindings named after them — as an object
+/// in the listed order; the keys are the binding names.
+macro_rules! put_fields {
+    ($out:ident; $($field:ident),+) => {
+        $out.push(TAG_OBJECT);
+        put_varint($out, [$(stringify!($field)),+].len() as u64);
+        $(
+            put_str($out, stringify!($field));
+            $field.put($out);
+        )+
+    };
+}
+
+// ams-lint: begin(no-panic) typed frame decoder — parses hostile bytes
+// straight into frames; a malformed frame must produce
+// WireError::Malformed, never a panic
+
+/// A type the frame codec carries without a value tree: `put` appends
+/// exactly the bytes of `encode_value(&self.to_value())`, and `get`
+/// decodes the canonical form of those bytes (and nothing else) back.
+trait Wire: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError>;
+}
+
+/// Decode the matching object header and each named field, in the
+/// listed order, into local bindings named after them.
+macro_rules! get_fields {
+    ($cur:ident; $($field:ident),+) => {
+        $cur.object([$(stringify!($field)),+].len())?;
+        $(
+            $cur.key(stringify!($field))?;
+            let $field = Wire::get($cur)?;
+        )+
+    };
+}
+
+/// `Wire` for named-field structs, keyed and ordered like the serde
+/// derive. The destructuring is exhaustive, so a new field that is not
+/// listed here is a compile error, not a silently dropped field.
+macro_rules! wire_struct {
+    ($($ty:ident { $($field:ident),+ $(,)? })+) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                let $ty { $($field),+ } = self;
+                put_fields!(out; $($field),+);
+            }
+            fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+                get_fields!(cur; $($field),+);
+                Ok($ty { $($field),+ })
+            }
+        }
+    )+};
+}
+
+/// `Wire` for externally tagged enums: unit variants travel as a name
+/// string, newtype variants as `{name: payload}`, struct variants as
+/// `{name: {fields}}`. The `match` in `put` is exhaustive, so an unlisted
+/// variant is a compile error.
+macro_rules! wire_enum {
+    ($ty:ident {
+        unit: [$($unit:ident),*],
+        newtype: [$($newtype:ident),*],
+        named: [$($named:ident { $($field:ident),+ }),*] $(,)?
+    }) => {
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                match self {
+                    $($ty::$unit => {
+                        out.push(TAG_STR);
+                        put_str(out, stringify!($unit));
+                    })*
+                    $($ty::$newtype(inner) => {
+                        put_variant(out, stringify!($newtype));
+                        inner.put(out);
+                    })*
+                    $($ty::$named { $($field),+ } => {
+                        put_variant(out, stringify!($named));
+                        put_fields!(out; $($field),+);
+                    })*
+                }
+            }
+            fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+                let (payload, name) = cur.variant()?;
+                $(if !payload && name == stringify!($unit).as_bytes() {
+                    return Ok($ty::$unit);
+                })*
+                $(if payload && name == stringify!($newtype).as_bytes() {
+                    return Ok($ty::$newtype(Wire::get(cur)?));
+                })*
+                $(if payload && name == stringify!($named).as_bytes() {
+                    get_fields!(cur; $($field),+);
+                    return Ok($ty::$named { $($field),+ });
+                })*
+                Err(WireError::Malformed(format!(
+                    "unknown {} variant `{}`",
+                    stringify!($ty),
+                    String::from_utf8_lossy(name)
+                )))
+            }
+        }
+    };
+}
+
+impl Wire for u64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(TAG_U64);
+        put_varint(out, *self);
+    }
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        cur.tag(TAG_U64)?;
+        cur.varint()
+    }
+}
+
+macro_rules! wire_narrow_uint {
+    ($($t:ty),+) => {$(
+        impl Wire for $t {
+            fn put(&self, out: &mut Vec<u8>) {
+                (*self as u64).put(out);
+            }
+            fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+                let n = u64::get(cur)?;
+                <$t>::try_from(n)
+                    .map_err(|_| WireError::Malformed(format!("integer {n} out of range")))
+            }
+        }
+    )+};
+}
+wire_narrow_uint!(usize, u16, u8);
+
+impl Wire for f64 {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(TAG_F64);
+        out.extend_from_slice(&self.to_bits().to_le_bytes());
+    }
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        cur.tag(TAG_F64)?;
+        cur.f64()
+    }
+}
+
+impl Wire for f32 {
+    fn put(&self, out: &mut Vec<u8>) {
+        f64::from(*self).put(out);
+    }
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        Ok(f64::get(cur)? as f32)
+    }
+}
+
+impl Wire for bool {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(if *self { TAG_TRUE } else { TAG_FALSE });
+    }
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        match cur.byte()? {
+            TAG_FALSE => Ok(false),
+            TAG_TRUE => Ok(true),
+            tag => Err(WireError::Malformed(format!(
+                "expected a bool, found tag {tag:#04x}"
+            ))),
+        }
+    }
+}
+
+impl<T: Wire> Wire for Option<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        match self {
+            Some(x) => x.put(out),
+            None => out.push(TAG_NULL),
+        }
+    }
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        if cur.buf.get(cur.pos) == Some(&TAG_NULL) {
+            cur.pos += 1;
+            return Ok(None);
+        }
+        T::get(cur).map(Some)
+    }
+}
+
+impl<T: Wire> Wire for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(TAG_ARRAY);
+        put_varint(out, self.len() as u64);
+        for x in self {
+            x.put(out);
+        }
+    }
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        cur.tag(TAG_ARRAY)?;
+        let n = cur.count(1)?;
+        // The count is bounded by the bytes left, not by what one element
+        // occupies in memory, so preallocate only a bounded prefix.
+        let mut items = Vec::with_capacity(n.min(1024));
+        for _ in 0..n {
+            items.push(T::get(cur)?);
+        }
+        Ok(items)
+    }
+}
+
+impl<A: Wire, B: Wire> Wire for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(TAG_ARRAY);
+        put_varint(out, 2);
+        self.0.put(out);
+        self.1.put(out);
+    }
+    fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+        cur.tag(TAG_ARRAY)?;
+        match cur.varint()? {
+            2 => Ok((A::get(cur)?, B::get(cur)?)),
+            n => Err(WireError::Malformed(format!(
+                "expected a pair, found {n} items"
+            ))),
+        }
+    }
+}
+
+/// Transparent newtypes travel as their inner value.
+macro_rules! wire_newtype {
+    ($($ty:ident),+) => {$(
+        impl Wire for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                let $ty(inner) = self;
+                inner.put(out);
+            }
+            fn get(cur: &mut Cursor<'_>) -> Result<Self, WireError> {
+                Wire::get(cur).map($ty)
+            }
+        }
+    )+};
+}
+wire_newtype!(LabelId, ModelId);
+
+wire_struct! {
+    WireRequest { id, item, class, deadline_us, value }
+    ItemTruth { scene_id, outputs, valuable, total_value, model_value }
+    ModelOutput { model, detections }
+    Detection { label, confidence }
+    LabelResult {
+        ticket, class, labels, executed, label_value, banked_value, recall,
+        queue_wait_us, execute_us, deadline_met,
+    }
+}
+
+wire_enum! { ShedReason {
+    unit: [Admission, Overflow, Deadline, Drain],
+    newtype: [],
+    named: [],
+} }
+
+wire_enum! { Completion {
+    unit: [],
+    newtype: [Labeled],
+    named: [Shed { ticket, class, reason }, Cancelled { ticket, class }],
+} }
+
+wire_enum! { ClientFrame {
+    unit: [Goodbye],
+    newtype: [Request],
+    named: [Hello { window }, Cancel { id }],
+} }
+
+wire_enum! { ServerFrame {
+    unit: [],
+    newtype: [Completion],
+    named: [Rejected { id }],
+} }
+
+/// Decode one whole typed payload: strict, no trailing bytes.
+fn decode_frame<T: Wire>(buf: &[u8]) -> Result<T, WireError> {
+    let mut cur = Cursor { buf, pos: 0 };
+    let frame = T::get(&mut cur)?;
+    match cur.remaining() {
+        0 => Ok(frame),
+        n => Err(WireError::Malformed(format!(
+            "{n} trailing bytes after frame"
+        ))),
+    }
+}
+
+// ams-lint: end(no-panic)
+
+/// Encode `ClientFrame::Request` from borrowed parts — the same bytes as
+/// the owned frame, without cloning the item into a `WireRequest`.
+fn put_request_frame(
+    out: &mut Vec<u8>,
+    id: u64,
+    item: &ItemTruth,
+    SubmitOptions {
+        class,
+        deadline_us,
+        value,
+    }: SubmitOptions,
+) {
+    put_variant(out, "Request");
+    put_fields!(out; id, item, class, deadline_us, value);
+}
+
+impl ClientFrame {
+    /// Append this frame's payload: byte-identical to
+    /// `encode_value(&self.to_value(), out)`, without the value tree.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        self.put(out);
+    }
+
+    /// Decode one payload with the strict typed decoder (canonical form
+    /// only, no trailing bytes). Total: any input returns a frame or a
+    /// [`WireError::Malformed`].
+    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
+        decode_frame(buf)
+    }
+}
+
+impl ServerFrame {
+    /// Append this frame's payload: byte-identical to
+    /// `encode_value(&self.to_value(), out)`, without the value tree.
+    pub fn encode(&self, out: &mut Vec<u8>) {
+        self.put(out);
+    }
+
+    /// Decode one payload with the strict typed decoder (canonical form
+    /// only, no trailing bytes). Total: any input returns a frame or a
+    /// [`WireError::Malformed`].
+    pub fn decode(buf: &[u8]) -> Result<Self, WireError> {
+        decode_frame(buf)
+    }
+}
+
+// ---------------------------------------------------------------------------
 // Frame I/O
 // ---------------------------------------------------------------------------
 
-/// Serialize and write one frame: length prefix + binary value.
-fn write_frame<T: Serialize>(stream: &mut TcpStream, frame: &T) -> Result<(), WireError> {
-    let mut payload = Vec::with_capacity(128);
-    encode_value(&frame.to_value(), &mut payload);
-    debug_assert!(payload.len() as u64 <= u64::from(MAX_FRAME));
-    let mut buf = Vec::with_capacity(payload.len() + 4);
-    buf.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    buf.extend_from_slice(&payload);
-    stream.write_all(&buf)?;
-    stream.flush()?;
-    Ok(())
+/// The write half of a connection: one reused buffer, each frame encoded
+/// straight into it behind a length prefix patched in place, then sent
+/// with a single `write_all`.
+struct FrameWriter {
+    stream: TcpStream,
+    buf: Vec<u8>,
+}
+
+impl FrameWriter {
+    fn new(stream: TcpStream) -> Self {
+        Self {
+            stream,
+            buf: Vec::new(),
+        }
+    }
+
+    /// Write one frame whose payload `encode` appends.
+    fn send(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), WireError> {
+        self.buf.clear();
+        self.buf.extend_from_slice(&[0; 4]);
+        encode(&mut self.buf);
+        let len = u32::try_from(self.buf.len() - 4).unwrap_or(u32::MAX);
+        let res = if len > MAX_FRAME {
+            Err(WireError::FrameTooLarge(len))
+        } else {
+            self.buf[..4].copy_from_slice(&len.to_le_bytes());
+            self.stream.write_all(&self.buf).map_err(WireError::from)
+        };
+        self.buf.clear();
+        self.buf.shrink_to(BUF_CHUNK);
+        res
+    }
 }
 
 // ams-lint: begin(no-panic) frame read path — feeds raw socket bytes to
@@ -451,7 +886,7 @@ fn write_frame<T: Serialize>(stream: &mut TcpStream, frame: &T) -> Result<(), Wi
 /// server-side reader can notice shutdown while blocked, without ever
 /// losing partially read bytes.
 fn read_exact_interruptible(
-    stream: &mut TcpStream,
+    stream: &mut impl Read,
     buf: &mut [u8],
     stop: &AtomicBool,
 ) -> Result<(), WireError> {
@@ -473,23 +908,50 @@ fn read_exact_interruptible(
     Ok(())
 }
 
-/// Read one frame and decode its payload to a value tree.
-fn read_frame_value(stream: &mut TcpStream, stop: &AtomicBool) -> Result<Value, WireError> {
-    let mut len = [0u8; 4];
-    read_exact_interruptible(stream, &mut len, stop)?;
-    let n = u32::from_le_bytes(len);
-    if n == 0 || n > MAX_FRAME {
-        return Err(WireError::FrameTooLarge(n));
-    }
-    let mut payload = vec![0u8; n as usize];
-    read_exact_interruptible(stream, &mut payload, stop)?;
-    decode_value(&payload)
+/// The read half of a connection: a bounded socket read buffer plus one
+/// payload buffer reused across frames.
+struct FrameReader<R> {
+    inner: BufReader<R>,
+    payload: Vec<u8>,
 }
 
-/// Read one typed frame.
-fn read_frame<T: Deserialize>(stream: &mut TcpStream, stop: &AtomicBool) -> Result<T, WireError> {
-    let v = read_frame_value(stream, stop)?;
-    T::from_value(&v).map_err(|e| WireError::Malformed(e.to_string()))
+impl<R: Read> FrameReader<R> {
+    fn new(inner: R) -> Self {
+        Self {
+            inner: BufReader::with_capacity(BUF_CHUNK, inner),
+            payload: Vec::new(),
+        }
+    }
+
+    /// Read and decode one typed frame.
+    fn read<T: Wire>(&mut self, stop: &AtomicBool) -> Result<T, WireError> {
+        self.fill(stop)?;
+        let frame = decode_frame(&self.payload);
+        self.payload.clear();
+        self.payload.shrink_to(BUF_CHUNK);
+        frame
+    }
+
+    /// Read one frame's payload into `self.payload`. The length claim is
+    /// checked against [`MAX_FRAME`] but committed only as bytes arrive:
+    /// the buffer grows at most [`BUF_CHUNK`] past what was received.
+    fn fill(&mut self, stop: &AtomicBool) -> Result<(), WireError> {
+        let mut len = [0u8; 4];
+        read_exact_interruptible(&mut self.inner, &mut len, stop)?;
+        let n = u32::from_le_bytes(len);
+        if n == 0 || n > MAX_FRAME {
+            return Err(WireError::FrameTooLarge(n));
+        }
+        let n = n as usize;
+        self.payload.clear();
+        while self.payload.len() < n {
+            let start = self.payload.len();
+            self.payload.resize(start + (n - start).min(BUF_CHUNK), 0);
+            let chunk = self.payload.get_mut(start..).unwrap_or_default();
+            read_exact_interruptible(&mut self.inner, chunk, stop)?;
+        }
+        Ok(())
+    }
 }
 
 // ams-lint: end(no-panic)
@@ -633,7 +1095,14 @@ impl NetServer {
                     let conn_stop = Arc::clone(&stop);
                     let handle =
                         std::thread::spawn(move || handle_connection(server, stream, conn_stop));
-                    conns.lock().expect("conn registry").push(handle);
+                    // Reap the connections that already ended (joining a
+                    // finished thread does not block), so the registry
+                    // holds live connections, not every one ever accepted.
+                    let mut conns = conns.lock().expect("conn registry");
+                    for done in conns.extract_if(.., |h| h.is_finished()) {
+                        let _ = done.join();
+                    }
+                    conns.push(handle);
                 }
             })
         };
@@ -688,13 +1157,13 @@ fn handle_connection(server: Arc<AmsServer>, stream: TcpStream, stop: Arc<Atomic
     // interrupt idle connections; `read_exact_interruptible` preserves
     // partial reads across them.
     let _ = stream.set_read_timeout(Some(POLL));
-    let mut reader = stream;
-    let Ok(writer_stream) = reader.try_clone() else {
+    let Ok(writer_stream) = stream.try_clone() else {
         return;
     };
+    let mut reader = FrameReader::new(stream);
 
     // The handshake sizes the window; anything else is a protocol error.
-    let window = match read_frame::<ClientFrame>(&mut reader, &stop) {
+    let window = match reader.read::<ClientFrame>(&stop) {
         Ok(ClientFrame::Hello { window }) => window.clamp(1, MAX_WINDOW) as usize,
         _ => return,
     };
@@ -706,7 +1175,9 @@ fn handle_connection(server: Arc<AmsServer>, stream: TcpStream, stop: Arc<Atomic
     // Both threads write frames: the writer sends completions, the
     // reader sends synchronous rejections. Frames are serialized under
     // this lock so they never interleave.
-    let out = Arc::new(Mutex::new(writer_stream.try_clone().ok()));
+    let out = Arc::new(Mutex::new(
+        writer_stream.try_clone().ok().map(FrameWriter::new),
+    ));
 
     let writer = {
         let client = client.clone();
@@ -723,8 +1194,8 @@ fn handle_connection(server: Arc<AmsServer>, stream: TcpStream, stop: Arc<Atomic
                             // A dead socket is fine: the events still
                             // drain so the window frees and the ledgers
                             // balance; only the delivery is lost.
-                            if let Some(stream) = out.lock().expect("conn writer").as_mut() {
-                                let _ = write_frame(stream, &frame);
+                            if let Some(w) = out.lock().expect("conn writer").as_mut() {
+                                let _ = w.send(|buf| frame.encode(buf));
                             }
                         }
                         maps.remove(ticket_id);
@@ -742,7 +1213,7 @@ fn handle_connection(server: Arc<AmsServer>, stream: TcpStream, stop: Arc<Atomic
     // Reader loop. Any exit except `Goodbye` is an abrupt disconnect:
     // cancel every outstanding ticket of this connection.
     let mut graceful = false;
-    while let Ok(frame) = read_frame::<ClientFrame>(&mut reader, &stop) {
+    while let Ok(frame) = reader.read::<ClientFrame>(&stop) {
         match frame {
             ClientFrame::Hello { .. } => break, // duplicate handshake
             ClientFrame::Goodbye => {
@@ -775,8 +1246,8 @@ fn handle_connection(server: Arc<AmsServer>, stream: TcpStream, stop: Arc<Atomic
                     }
                     None => {
                         let frame = ServerFrame::Rejected { id: req.id };
-                        if let Some(stream) = out.lock().expect("conn writer").as_mut() {
-                            let _ = write_frame(stream, &frame);
+                        if let Some(w) = out.lock().expect("conn writer").as_mut() {
+                            let _ = w.send(|buf| frame.encode(buf));
                         }
                     }
                 }
@@ -787,6 +1258,8 @@ fn handle_connection(server: Arc<AmsServer>, stream: TcpStream, stop: Arc<Atomic
         maps.cancel_all();
     }
     reader_done.store(true, Ordering::Release);
+    // Wake the writer so it sees `reader_done` now, not a POLL later.
+    client.wake();
     let _ = writer.join();
     let _ = writer_stream.shutdown(std::net::Shutdown::Both);
 }
@@ -806,12 +1279,12 @@ fn handle_connection(server: Arc<AmsServer>, stream: TcpStream, stop: Arc<Atomic
 /// synchronous `SubmitOutcome::Rejected`), and every call can fail with
 /// a [`WireError`].
 pub struct NetClient {
-    write: Mutex<TcpStream>,
-    read: Mutex<TcpStream>,
+    write: Mutex<FrameWriter>,
+    read: Mutex<FrameReader<TcpStream>>,
     window: usize,
     state: Mutex<NcState>,
     not_full: Condvar,
-    /// Never set client-side; [`read_frame`] wants a stop flag.
+    /// Never set client-side; [`FrameReader::read`] wants a stop flag.
     no_stop: AtomicBool,
 }
 
@@ -836,15 +1309,13 @@ impl NetClient {
     pub fn connect_with_window(addr: impl ToSocketAddrs, window: usize) -> Result<Self, WireError> {
         let stream = TcpStream::connect(addr).map_err(WireError::Io)?;
         let _ = stream.set_nodelay(true);
-        let read = stream.try_clone().map_err(WireError::Io)?;
-        let mut write = stream;
+        let read = FrameReader::new(stream.try_clone().map_err(WireError::Io)?);
+        let mut write = FrameWriter::new(stream);
         let window = (window as u64).clamp(1, MAX_WINDOW) as usize;
-        write_frame(
-            &mut write,
-            &ClientFrame::Hello {
-                window: window as u64,
-            },
-        )?;
+        let hello = ClientFrame::Hello {
+            window: window as u64,
+        };
+        write.send(|buf| hello.encode(buf))?;
         Ok(Self {
             write: Mutex::new(write),
             read: Mutex::new(read),
@@ -882,14 +1353,11 @@ impl NetClient {
             st.next_id += 1;
             id
         };
-        let frame = ClientFrame::Request(WireRequest {
-            id,
-            item: (*item).clone(),
-            class: opts.class,
-            deadline_us: opts.deadline_us,
-            value: opts.value,
-        });
-        let res = write_frame(&mut self.write.lock().expect("net client write"), &frame);
+        let res = self
+            .write
+            .lock()
+            .expect("net client write")
+            .send(|buf| put_request_frame(buf, id, &item, opts));
         if let Err(e) = res {
             // The request never left: release its window slot.
             let mut st = self.state.lock().expect("net client");
@@ -905,10 +1373,10 @@ impl NetClient {
     /// [`Ticket::cancel`](crate::Ticket::cancel), the race is resolved
     /// server-side; the terminal event reports what actually happened.
     pub fn cancel(&self, id: u64) -> Result<(), WireError> {
-        write_frame(
-            &mut self.write.lock().expect("net client write"),
-            &ClientFrame::Cancel { id },
-        )
+        self.write
+            .lock()
+            .expect("net client write")
+            .send(|buf| ClientFrame::Cancel { id }.encode(buf))
     }
 
     /// Blocking receive of the next terminal event, in server delivery
@@ -918,10 +1386,11 @@ impl NetClient {
         if self.state.lock().expect("net client").outstanding == 0 {
             return Ok(None);
         }
-        let frame = read_frame::<ServerFrame>(
-            &mut self.read.lock().expect("net client read"),
-            &self.no_stop,
-        )?;
+        let frame = self
+            .read
+            .lock()
+            .expect("net client read")
+            .read::<ServerFrame>(&self.no_stop)?;
         let ev = match frame {
             ServerFrame::Completion(c) => NetEvent::Completion(c),
             ServerFrame::Rejected { id } => NetEvent::Rejected { id },
@@ -963,10 +1432,10 @@ impl NetClient {
         }
         st.goodbye = true;
         drop(st);
-        write_frame(
-            &mut self.write.lock().expect("net client write"),
-            &ClientFrame::Goodbye,
-        )
+        self.write
+            .lock()
+            .expect("net client write")
+            .send(|buf| ClientFrame::Goodbye.encode(buf))
     }
 }
 
@@ -1014,5 +1483,145 @@ mod tests {
             .flatten()
             .collect();
         assert!(decode_value(&deep).is_err()); // nesting bomb
+    }
+
+    #[test]
+    fn length_claim_commits_memory_only_as_bytes_arrive() {
+        let mut bytes = MAX_FRAME.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0xab; 10]);
+        let mut reader = FrameReader::new(std::io::Cursor::new(bytes));
+        let res = reader.read::<ClientFrame>(&AtomicBool::new(false));
+        assert!(matches!(res, Err(WireError::Closed)), "got {res:?}");
+        assert!(
+            reader.payload.capacity() <= BUF_CHUNK,
+            "a 16 MiB claim backed by 10 bytes allocated {} bytes",
+            reader.payload.capacity()
+        );
+    }
+
+    #[test]
+    fn frame_reader_reads_back_to_back_frames_across_chunks() {
+        let item = ItemTruth {
+            scene_id: 7,
+            outputs: vec![ModelOutput::new(
+                ModelId(3),
+                (0..9000).map(|l| Detection::new(LabelId(l), 0.5)).collect(),
+            )],
+            valuable: vec![(LabelId(1), 0.75)],
+            total_value: 1.25,
+            model_value: vec![0.5, 0.75],
+        };
+        let frames = [
+            ClientFrame::Hello { window: 8 },
+            ClientFrame::Request(WireRequest {
+                id: 1,
+                item,
+                class: 1,
+                deadline_us: Some(5),
+                value: None,
+            }),
+            ClientFrame::Goodbye,
+        ];
+        let bytes: Vec<u8> = frames.iter().flat_map(framed).collect();
+        assert!(bytes.len() > BUF_CHUNK, "the request spans several chunks");
+        let mut reader = FrameReader::new(std::io::Cursor::new(bytes));
+        let stop = AtomicBool::new(false);
+        for f in &frames {
+            let back: ClientFrame = reader.read(&stop).expect("frame decodes");
+            assert_eq!(format!("{back:?}"), format!("{f:?}"));
+            assert!(reader.payload.capacity() <= BUF_CHUNK);
+        }
+        assert!(matches!(
+            reader.read::<ClientFrame>(&stop),
+            Err(WireError::Closed)
+        ));
+    }
+
+    #[test]
+    fn borrowed_request_encoding_matches_the_owned_frame() {
+        let item = ItemTruth {
+            scene_id: 42,
+            outputs: vec![ModelOutput::new(
+                ModelId(0),
+                vec![Detection::new(LabelId(5), 0.25)],
+            )],
+            valuable: vec![(LabelId(5), 0.25)],
+            total_value: 0.25,
+            model_value: vec![0.25],
+        };
+        let opts = SubmitOptions {
+            class: 3,
+            deadline_us: Some(1_000),
+            value: Some(2.5),
+        };
+        let mut borrowed = Vec::new();
+        put_request_frame(&mut borrowed, 9, &item, opts);
+        let owned = ClientFrame::Request(WireRequest {
+            id: 9,
+            item,
+            class: opts.class,
+            deadline_us: opts.deadline_us,
+            value: opts.value,
+        });
+        let mut reference = Vec::new();
+        encode_value(&owned.to_value(), &mut reference);
+        assert_eq!(borrowed, reference);
+    }
+
+    fn framed(frame: &ClientFrame) -> Vec<u8> {
+        let mut payload = Vec::new();
+        frame.encode(&mut payload);
+        let mut bytes = (payload.len() as u32).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&payload);
+        bytes
+    }
+
+    #[test]
+    fn connection_registry_drops_finished_connections() {
+        use ams_core::framework::{AdaptiveModelScheduler, Budget};
+        use ams_core::predictor::OraclePredictor;
+        use ams_models::ModelZoo;
+
+        let zoo = ModelZoo::standard();
+        let predictor = Box::new(OraclePredictor::new(zoo.len(), 0.5));
+        let server = AmsServer::start(
+            AdaptiveModelScheduler::new(zoo, predictor, 0.5, 64),
+            Budget::Deadline { ms: 900 },
+            crate::ServeConfig {
+                obs: Some(crate::ObsConfig::default()),
+                ..crate::ServeConfig::default()
+            },
+        );
+        let net = NetServer::bind(server, "127.0.0.1:0").expect("bind");
+        let addr = net.local_addr();
+        let mut session = framed(&ClientFrame::Hello { window: 4 });
+        session.extend_from_slice(&framed(&ClientFrame::Goodbye));
+
+        let mut peak = 0;
+        for _ in 0..500 {
+            let mut s = TcpStream::connect(addr).expect("connect");
+            s.write_all(&session).expect("hello + goodbye");
+            // The server closes its end once the goodbye drained.
+            let mut rest = Vec::new();
+            s.read_to_end(&mut rest).expect("read to close");
+            assert!(rest.is_empty(), "nothing was submitted, nothing comes back");
+            peak = peak.max(net.conns.lock().expect("conn registry").len());
+        }
+        assert!(peak <= 8, "registry grew to {peak} handles");
+
+        // Connections still open at shutdown are joined, not leaked.
+        let live: Vec<TcpStream> = (0..3)
+            .map(|_| {
+                let mut s = TcpStream::connect(addr).expect("connect");
+                s.write_all(&framed(&ClientFrame::Hello { window: 4 }))
+                    .expect("hello");
+                s
+            })
+            .collect();
+        let report = net.shutdown();
+        drop(live);
+        assert_eq!(report.offered, 0);
+        assert!(report.is_conserved());
+        assert!(report.events_reconcile());
     }
 }

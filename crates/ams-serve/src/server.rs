@@ -1662,6 +1662,13 @@ impl Client {
         self.queue.drain()
     }
 
+    /// Make the current or next [`Client::recv_timeout`] return early
+    /// (with `None` when no event is queued), so the receiver re-checks
+    /// its own stop condition.
+    pub(crate) fn wake(&self) {
+        self.queue.wake();
+    }
+
     /// Tickets issued by this client whose terminal events have not been
     /// consumed yet.
     pub fn outstanding(&self) -> usize {

@@ -10,6 +10,7 @@ use ams_core::predictor::OraclePredictor;
 use ams_data::{Dataset, DatasetProfile, TruthTable};
 use ams_models::{LabelId, ModelId, ModelZoo};
 use ams_serve::net::{decode_value, encode_value, ClientFrame, NetClient, NetServer, WireRequest};
+use ams_serve::net::{ServerFrame, WireError};
 use ams_serve::{
     AmsServer, BackpressurePolicy, Completion, LabelResult, ObsConfig, ServeConfig, ShedReason,
 };
@@ -160,6 +161,147 @@ proptest! {
     #[test]
     fn decoder_never_panics_on_arbitrary_bytes(bytes in prop::collection::vec(any::<u8>(), 0..512)) {
         let _ = decode_value(&bytes);
+    }
+}
+
+fn arb_client_frame() -> impl Strategy<Value = ClientFrame> {
+    (
+        0usize..4,
+        any::<u64>(),
+        0usize..24,
+        0usize..8,
+        (any::<bool>(), any::<u64>()).prop_map(|(s, v)| s.then_some(v)),
+        (any::<bool>(), 0.0f64..1e9).prop_map(|(s, v)| s.then_some(v)),
+    )
+        .prop_map(
+            |(variant, n, idx, class, deadline_us, value)| match variant {
+                0 => ClientFrame::Hello { window: n },
+                1 => ClientFrame::Request(WireRequest {
+                    id: n,
+                    item: truth().item(idx).clone(),
+                    class,
+                    deadline_us,
+                    value,
+                }),
+                2 => ClientFrame::Cancel { id: n },
+                _ => ClientFrame::Goodbye,
+            },
+        )
+}
+
+fn arb_server_frame() -> impl Strategy<Value = ServerFrame> {
+    (any::<bool>(), arb_completion(), any::<u64>()).prop_map(|(completion, ev, id)| {
+        if completion {
+            ServerFrame::Completion(ev)
+        } else {
+            ServerFrame::Rejected { id }
+        }
+    })
+}
+
+/// The payload the generic value codec produces for `v`.
+fn value_codec_bytes<T: Serialize>(v: &T) -> Vec<u8> {
+    let mut buf = Vec::new();
+    encode_value(&v.to_value(), &mut buf);
+    buf
+}
+
+/// Run both typed decoders on `bytes` (which must not panic). Whatever a
+/// typed decoder accepts, the reference path — `decode_value` then
+/// `from_value` — must decode to the same frame.
+fn typed_decoders_agree_with_reference(bytes: &[u8]) -> Result<(), TestCaseError> {
+    fn check<T: Deserialize + std::fmt::Debug>(
+        bytes: &[u8],
+        typed: Result<T, WireError>,
+    ) -> Result<(), TestCaseError> {
+        let Ok(frame) = typed else { return Ok(()) };
+        match decode_value(bytes).map(|tree| T::from_value(&tree)) {
+            Ok(Ok(reference)) => {
+                prop_assert_eq!(format!("{reference:?}"), format!("{frame:?}"));
+                Ok(())
+            }
+            _ => Err(TestCaseError::fail(format!(
+                "typed decoder accepted bytes the reference decoder rejects: {bytes:?}"
+            ))),
+        }
+    }
+    check(bytes, ClientFrame::decode(bytes))?;
+    check(bytes, ServerFrame::decode(bytes))
+}
+
+/// A real frame payload, cut short and/or with one bit flipped.
+fn damaged(mut bytes: Vec<u8>, mode: u8, cut: usize, flip: usize, bit: u8) -> Vec<u8> {
+    if mode != 1 {
+        bytes.truncate(cut % (bytes.len() + 1));
+    }
+    if mode != 0 && !bytes.is_empty() {
+        let at = flip % bytes.len();
+        bytes[at] ^= 1 << bit;
+    }
+    bytes
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The typed encoder writes exactly the generic codec's bytes for
+    /// every client frame variant, so the frame format is unchanged.
+    #[test]
+    fn typed_client_encoding_is_byte_equal_to_value_codec(frame in arb_client_frame()) {
+        let mut typed = Vec::new();
+        frame.encode(&mut typed);
+        prop_assert_eq!(typed, value_codec_bytes(&frame));
+    }
+
+    /// Same for every server frame variant.
+    #[test]
+    fn typed_server_encoding_is_byte_equal_to_value_codec(frame in arb_server_frame()) {
+        let mut typed = Vec::new();
+        frame.encode(&mut typed);
+        prop_assert_eq!(typed, value_codec_bytes(&frame));
+    }
+
+    /// Typed decode of a typed encoding returns the same client frame,
+    /// floats bit-exact (Debug prints every distinguishing digit).
+    #[test]
+    fn typed_client_frames_round_trip(frame in arb_client_frame()) {
+        let mut buf = Vec::new();
+        frame.encode(&mut buf);
+        let back = ClientFrame::decode(&buf).expect("typed decode");
+        prop_assert_eq!(format!("{back:?}"), format!("{frame:?}"));
+    }
+
+    /// Same for server frames.
+    #[test]
+    fn typed_server_frames_round_trip(frame in arb_server_frame()) {
+        let mut buf = Vec::new();
+        frame.encode(&mut buf);
+        let back = ServerFrame::decode(&buf).expect("typed decode");
+        prop_assert_eq!(format!("{back:?}"), format!("{frame:?}"));
+    }
+
+    /// Arbitrary bytes: the typed decoders never panic, and anything they
+    /// accept decodes identically through the reference path.
+    #[test]
+    fn typed_decoder_never_panics_on_arbitrary_bytes(
+        bytes in prop::collection::vec(any::<u8>(), 0..512),
+    ) {
+        typed_decoders_agree_with_reference(&bytes)?;
+    }
+
+    /// Truncated and bit-flipped real request and completion frames: no
+    /// panic, and every frame the typed decoders still accept matches the
+    /// reference decoding.
+    #[test]
+    fn typed_decoder_survives_damaged_real_frames(
+        client in arb_client_frame(),
+        server in arb_server_frame(),
+        damage in (0u8..3, any::<usize>(), any::<usize>(), 0u8..8),
+    ) {
+        let (mode, cut, flip, bit) = damage;
+        for bytes in [value_codec_bytes(&client), value_codec_bytes(&server)] {
+            typed_decoders_agree_with_reference(&damaged(bytes, mode, cut, flip, bit))?;
+        }
     }
 }
 

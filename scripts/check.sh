@@ -3,6 +3,7 @@
 # workspace analyzer), the perf gate, and the tier-1 verify. Three modes:
 #
 #   ./scripts/check.sh          # full: fmt + clippy + release build
+#                               #       + perfbench self-tests
 #                               #       + bench gate + tier-1 tests
 #   ./scripts/check.sh --quick  # fmt + clippy + a fast label-cache pass
 #                               #       (PROPTEST_CASES=16) + debug tests
@@ -47,6 +48,11 @@ cargo run -q -p ams-lint -- .
 if [[ $mode == full ]]; then
     echo "==> cargo build --release"
     cargo build --release
+    # The benchmark (perfbench/) is its own cargo workspace and imports the
+    # public API (the wire codec and frame types among it): build it and
+    # run its self-tests so an API change that breaks it fails here.
+    echo "==> perfbench build + self-tests"
+    cargo test --release --offline --manifest-path perfbench/Cargo.toml
 fi
 
 if [[ $mode == full || $mode == smoke ]]; then
