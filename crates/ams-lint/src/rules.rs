@@ -9,7 +9,7 @@ use crate::{is_keyword, Finding, SourceFile};
 pub fn run_all(f: &SourceFile) -> Vec<Finding> {
     let mut out = Vec::new();
     no_panic(f, &mut out);
-    ledger_event(f, &mut out);
+    ledger_owner(f, &mut out);
     safety_comment(f, &mut out);
     atomic_order(f, &mut out);
     lock_nesting(f, &mut out);
@@ -107,127 +107,108 @@ fn no_panic(f: &SourceFile, out: &mut Vec<Finding>) {
     }
 }
 
-/// Conservation counters and the event evidence that must appear in the
-/// same function that bumps them (`counter += 1`). Evidence is any of
-/// the listed identifiers: the `EventKind` variant itself, or the name
-/// of the emit helper that wraps it.
-const COUNTER_EVIDENCE: &[(&str, &[&str])] = &[
-    ("offered", &["Admitted"]),
-    ("completed", &["Labeled"]),
-    ("cache_hit", &["CacheHit"]),
-    ("coalesced", &["Coalesced"]),
-    ("shed_admission", &["ShedAdmission", "of_shed"]),
-    (
-        "shed_overflow",
-        &["ShedOverflow", "of_shed", "emit_shed_overflow"],
-    ),
-    ("shed_deadline", &["ShedDeadline", "of_shed"]),
-    ("shed_drain", &["ShedDrain", "of_shed"]),
-    ("shed_oldest", &["ShedOverflow", "emit_shed_overflow"]),
-    ("rejected", &["Rejected"]),
-    ("cancelled", &["Cancelled"]),
+/// Outcome bucket names — the ledger's named fields and the report
+/// fields they feed — that only `ams-serve/src/ledger.rs` may mutate.
+const BUCKETS: &[&str] = &[
+    "offered",
+    "submitted",
+    "enqueued",
+    "completed",
+    "deadline_met",
+    "cache_hit",
+    "coalesced",
+    "rejected",
+    "shed_admission",
+    "shed_overflow",
+    "shed_oldest",
+    "shed_deadline",
+    "shed_drain",
+    "cancelled",
+    "value_offered",
+    "value_completed",
+    "value_late",
+    "value_cached",
+    "value_cancelled",
+    "value_shed",
 ];
 
-/// Ledger helpers: calling one moves the pairing obligation to the call
-/// site (the helper itself only mutates counters, so its *definition*
-/// is exempt — the event must fire where the helper is invoked).
-const HELPER_EVIDENCE: &[(&str, &[&str])] = &[
-    ("record_hit", &["CacheHit"]),
-    ("record_offered", &["Admitted"]),
-    ("record_coalesced", &["Coalesced"]),
-    ("record_follower_shed", &["of_shed"]),
-    ("record_shed", &["ShedOverflow", "emit_shed_overflow"]),
-];
+/// Atomic read-modify-write and store methods that mutate a bucket
+/// kept in an atomic (`x.offered.fetch_add(…)`).
+const ATOMIC_WRITES: &[&str] = &["fetch_add", "fetch_sub", "store", "swap"];
 
-fn helper_names() -> impl Iterator<Item = &'static str> {
-    HELPER_EVIDENCE.iter().map(|(n, _)| *n)
-}
+/// The event-emit calls that must share a fn with a bucket bump inside
+/// the ledger.
+const EMITS: &[&str] = &["emit", "emit_worker"];
 
-/// rule `ledger-event` — in `server.rs`/`cache.rs`/`queue.rs` of
-/// ams-serve, every `counter += 1` on a conservation counter (and every
-/// call to a ledger helper) must have the matching `obs::EventKind`
-/// evidence somewhere in the same function, keeping "events at the
-/// exact sites that mutate the ledger" machine-checked.
-///
-/// Only `+= 1` counts as a mutation site: report *merges*
-/// (`total.offered += shard.offered`) fold units that already emitted
-/// their event when first counted, so they carry no new obligation.
-fn ledger_event(f: &SourceFile, out: &mut Vec<Finding>) {
-    if !f.path.contains("ams-serve") {
+/// rule `ledger-owner` — outcome buckets are mutated only in the
+/// outcome ledger. In `ams-serve/src/`, any field write to a bucket —
+/// compound assignment (`x.offered += …`), plain assignment, or an
+/// atomic write (`x.offered.fetch_add(…)`) — outside `ledger.rs` is a
+/// finding. Inside `ledger.rs` a bump must emit its event in the same
+/// fn; the one exemption is a fold of the same bucket
+/// (`self.offered += o.offered`), which adds up counts whose events were
+/// emitted when first recorded. `obs.rs` is out of scope: the metrics
+/// registry tallies events it drained, it does not count outcomes.
+fn ledger_owner(f: &SourceFile, out: &mut Vec<Finding>) {
+    if !f.path.contains("ams-serve/src/") || f.basename() == "obs.rs" {
         return;
     }
-    if !matches!(f.basename(), "server.rs" | "cache.rs" | "queue.rs") {
-        return;
-    }
+    let in_ledger = f.basename() == "ledger.rs";
+    let text = |k: usize| f.tokens.get(k).map_or("", |t| t.text.as_str());
     for (i, t) in f.tokens.iter().enumerate() {
-        if t.kind != TokKind::Ident || f.allowed("ledger-event", t.line) {
+        if t.kind != TokKind::Ident
+            || !BUCKETS.contains(&t.text.as_str())
+            || i == 0
+            || text(i - 1) != "."
+            || f.allowed("ledger-owner", t.line)
+        {
             continue;
         }
-        // `x.counter += 1`
-        if let Some((_, evidence)) = COUNTER_EVIDENCE.iter().find(|(n, _)| *n == t.text) {
-            let is_field = i > 0 && f.tokens[i - 1].text == ".";
-            let is_inc = f.tokens.get(i + 1).is_some_and(|t| t.text == "+")
-                && f.tokens.get(i + 2).is_some_and(|t| t.text == "=")
-                && f.tokens
-                    .get(i + 3)
-                    .is_some_and(|t| t.kind == TokKind::Num && t.text == "1");
-            if is_field && is_inc {
-                match f.enclosing_fn(i) {
-                    Some(func) if helper_names().any(|h| h == func.name) => {
-                        // Inside a ledger helper definition: the
-                        // obligation belongs to the helper's callers.
-                    }
-                    Some(func) => {
-                        if !has_evidence(f, func.start_tok, func.end_tok, evidence) {
-                            push(
-                                out,
-                                f,
-                                t.line,
-                                "ledger-event",
-                                format!(
-                                    "`{} += 1` without {} in fn {} — ledger mutations must emit their event at the mutation site",
-                                    t.text,
-                                    evidence_list(evidence),
-                                    func.name
-                                ),
-                            );
-                        }
-                    }
-                    None => push(
-                        out,
-                        f,
-                        t.line,
-                        "ledger-event",
-                        format!(
-                            "`{} += 1` outside any fn — cannot verify event pairing",
-                            t.text
-                        ),
-                    ),
-                }
-            }
+        let compound = matches!(text(i + 1), "+" | "-" | "*") && text(i + 2) == "=";
+        let assign = text(i + 1) == "=" && text(i + 2) != "=";
+        let atomic = text(i + 1) == "." && ATOMIC_WRITES.contains(&text(i + 2));
+        if !(compound || assign || atomic) {
+            continue;
         }
-        // `record_xxx(…)` helper calls
-        if let Some((_, evidence)) = HELPER_EVIDENCE.iter().find(|(n, _)| *n == t.text) {
-            let is_call = f.tokens.get(i + 1).is_some_and(|t| t.text == "(");
-            let is_def = i > 0 && f.tokens[i - 1].text == "fn";
-            if is_call && !is_def {
-                if let Some(func) = f.enclosing_fn(i) {
-                    if !has_evidence(f, func.start_tok, func.end_tok, evidence) {
-                        push(
-                            out,
-                            f,
-                            t.line,
-                            "ledger-event",
-                            format!(
-                                "{}() called without {} in fn {} — the ledger helper's event must fire at the call site",
-                                t.text,
-                                evidence_list(evidence),
-                                func.name
-                            ),
-                        );
-                    }
-                }
-            }
+        if !in_ledger {
+            push(
+                out,
+                f,
+                t.line,
+                "ledger-owner",
+                format!(
+                    "outcome bucket `{}` mutated outside ledger.rs — record the outcome through the Ledger",
+                    t.text
+                ),
+            );
+            continue;
+        }
+        // `a.x += b.x;` folds counts that were recorded (and emitted)
+        // elsewhere in the ledger.
+        let fold = compound
+            && f.tokens
+                .get(i + 3)
+                .is_some_and(|r| r.kind == TokKind::Ident)
+            && text(i + 4) == "."
+            && text(i + 5) == t.text
+            && text(i + 6) == ";";
+        if fold {
+            continue;
+        }
+        let emitted = f
+            .enclosing_fn(i)
+            .is_some_and(|func| has_evidence(f, func.start_tok, func.end_tok, EMITS));
+        if !emitted {
+            push(
+                out,
+                f,
+                t.line,
+                "ledger-owner",
+                format!(
+                    "`{}` bumped without emitting its event in the same fn — the ledger emits, then bumps, under one lock",
+                    t.text
+                ),
+            );
         }
     }
 }
@@ -236,10 +217,6 @@ fn has_evidence(f: &SourceFile, start: usize, end: usize, names: &[&str]) -> boo
     f.tokens[start..=end.min(f.tokens.len() - 1)]
         .iter()
         .any(|t| t.kind == TokKind::Ident && names.contains(&t.text.as_str()))
-}
-
-fn evidence_list(names: &[&str]) -> String {
-    names.join("/")
 }
 
 /// rule `safety-comment` — every `unsafe` keyword (block, fn, impl)

@@ -17,7 +17,7 @@ use std::collections::BTreeSet;
 
 struct Fixture {
     /// Synthetic display path — chosen so path-scoped rules
-    /// (ledger-event, atomic-order, lock-nesting, forbid-unsafe) see
+    /// (ledger-owner, atomic-order, lock-nesting, forbid-unsafe) see
     /// the basenames and crate layout they key on.
     path: &'static str,
     src: &'static str,
@@ -41,10 +41,38 @@ const FIXTURES: &[Fixture] = &[
     },
     Fixture {
         path: "crates/ams-serve/src/server.rs",
-        src: include_str!("../fixtures/ledger_server.rs"),
+        src: include_str!("../fixtures/ledger_owner.rs"),
         expect: &[
-            ("ledger-event", 10), // offered += 1 without Admitted
-            ("ledger-event", 24), // record_hit() without CacheHit
+            ("ledger-owner", 11), // offered += 1, even next to its event
+            ("ledger-owner", 15), // completed += shard.completed (a fold)
+            ("ledger-owner", 19), // value_shed += v
+            ("ledger-owner", 23), // rejected.fetch_add(…)
+            ("ledger-owner", 27), // cancelled = 0
+        ],
+    },
+    Fixture {
+        path: "crates/ams-serve/src/completion.rs",
+        src: include_str!("../fixtures/ledger_owner.rs"),
+        expect: &[
+            ("ledger-owner", 11),
+            ("ledger-owner", 15),
+            ("ledger-owner", 19),
+            ("ledger-owner", 23),
+            ("ledger-owner", 27),
+        ],
+    },
+    Fixture {
+        // The metrics registry tallies drained events, not outcomes.
+        path: "crates/ams-serve/src/obs.rs",
+        src: include_str!("../fixtures/ledger_owner.rs"),
+        expect: &[],
+    },
+    Fixture {
+        path: "crates/ams-serve/src/ledger.rs",
+        src: include_str!("../fixtures/ledger_owner_ledger.rs"),
+        expect: &[
+            ("ledger-owner", 12), // cancelled += 1 with no emit in the fn
+            ("ledger-owner", 21), // offered += o.completed is no fold
         ],
     },
     Fixture {

@@ -50,10 +50,9 @@
 //! ## Accounting
 //!
 //! Hits and coalesced followers get their own conservation buckets
-//! (`cache_hit`, `coalesced`, with per-class `value_cached`), recorded in
-//! the [`CacheLedger`] and folded into
-//! [`ServeReport`](crate::ServeReport) /
-//! [`ClassReport`](crate::ClassReport) at shutdown:
+//! (`cache_hit`, `coalesced`, with per-class `value_cached`) in the
+//! outcome ledger ([`crate::ledger`]); fan-out and follower sheds record
+//! into the caller's [`Batch`]:
 //!
 //! ```text
 //! offered == completed + rejected + shed_* + cancelled
@@ -65,7 +64,8 @@
 //! `cancelled` — the fan-out's losing CAS keeps it out of `coalesced`.
 
 use crate::completion::{CompletionSlot, LabelResult, ShedReason};
-use crate::obs::{Event, EventKind, ServerObs, NO_SHARD, NO_TICKET};
+use crate::ledger::{Batch, Outcome, Record};
+use crate::obs::NO_TICKET;
 use ams_models::{LabelId, ModelId};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
@@ -155,6 +155,14 @@ pub(crate) struct Follower {
     pub(crate) req_id: u64,
 }
 
+impl Follower {
+    /// The follower's `outcome`, as a ledger record.
+    fn record(&self, outcome: Outcome) -> Record {
+        let ticket = self.slot.as_ref().map_or(NO_TICKET, |s| s.id());
+        Record::new(outcome, self.class, self.value, self.req_id, ticket)
+    }
+}
+
 /// What [`PendingEntry::attach`] decided.
 pub(crate) enum Attach {
     /// The follower is waiting on the leader; its completion arrives at
@@ -186,25 +194,19 @@ enum EntryState {
 pub(crate) struct PendingEntry {
     key: u64,
     state: Mutex<EntryState>,
-    ledger: Arc<CacheLedger>,
     /// Back-reference for map cleanup on failure (weak: a failed entry
     /// must not keep a dropped cache alive).
     cache: Weak<LabelCache>,
-    /// Observability pipeline: follower terminal events (coalesced
-    /// deliveries, follower sheds) are emitted exactly where the cache
-    /// ledger counts them, so event totals reconcile with the report.
-    obs: Option<Arc<ServerObs>>,
 }
 
 impl PendingEntry {
     /// Attach a follower, unless the entry already reached a terminal
-    /// state. On `Attached` the follower's `offered` is recorded — its
-    /// terminal bucket (`coalesced`, a shed, or `cancelled`) comes later.
+    /// state. An attached follower's terminal bucket (`coalesced`, a
+    /// shed, or `cancelled`) is recorded later.
     pub(crate) fn attach(&self, follower: Follower) -> Attach {
         let mut st = self.state.lock().expect("cache entry");
         match &mut *st {
             EntryState::Waiting(followers) => {
-                self.ledger.record_offered(follower.class, follower.value); // ams-lint: allow(ledger-event) the follower's Admitted event was emitted by submit_inner before coalescing routed it here
                 followers.push(follower);
                 Attach::Attached
             }
@@ -216,9 +218,10 @@ impl PendingEntry {
     /// Resolve the entry with the leader's result and fan it out: every
     /// follower whose slot is still pending receives its own
     /// `Completion::Labeled` (zero execute time — the labels were already
-    /// paid for) and is counted `coalesced`; followers that lost their
-    /// slot race (cancelled) are skipped — their event already happened.
-    pub(crate) fn resolve(&self, result: &CachedResult) {
+    /// paid for) and is recorded `coalesced` into `batch`; followers that
+    /// lost their slot race (cancelled) are skipped — their event already
+    /// happened.
+    pub(crate) fn resolve(&self, result: &CachedResult, batch: &mut Batch) {
         let followers = {
             let mut st = self.state.lock().expect("cache entry");
             match std::mem::replace(&mut *st, EntryState::Done(result.clone())) {
@@ -257,29 +260,18 @@ impl PendingEntry {
                 None => true,
             };
             if delivered {
-                self.ledger.record_coalesced(f.class, f.value);
-                if let Some(obs) = &self.obs {
-                    obs.emit(Event {
-                        at_us: obs.now_us(),
-                        req: f.req_id,
-                        ticket: f.slot.as_ref().map(|s| s.id()).unwrap_or(NO_TICKET),
-                        shard: NO_SHARD,
-                        class: f.class as u32,
-                        kind: EventKind::Coalesced,
-                        detail: waited_us,
-                        flag: !met,
-                    });
-                }
+                batch.push(f.record(Outcome::Coalesced { met }).detail(waited_us));
             }
         }
     }
 
     /// Fail the entry (leader shed on `reason`): every follower is shed
-    /// with the same reason through its own slot CAS and ledgered into
-    /// the matching bucket; the dead map slot is removed so the next
-    /// lookup of this key starts a fresh leader. Idempotent — a second
-    /// loss path on the same leader finds no followers and no map slot.
-    pub(crate) fn fail(&self, reason: ShedReason) {
+    /// with the same reason through its own slot CAS and recorded into
+    /// `batch` under the matching bucket; the dead map slot is removed so
+    /// the next lookup of this key starts a fresh leader. Idempotent — a
+    /// second loss path on the same leader finds no followers and no map
+    /// slot.
+    pub(crate) fn fail(&self, reason: ShedReason, batch: &mut Batch) {
         let followers = {
             let mut st = self.state.lock().expect("cache entry");
             match std::mem::replace(&mut *st, EntryState::Failed) {
@@ -298,19 +290,7 @@ impl PendingEntry {
                 None => true,
             };
             if owned {
-                self.ledger.record_follower_shed(f.class, f.value, reason);
-                if let Some(obs) = &self.obs {
-                    obs.emit(Event {
-                        at_us: obs.now_us(),
-                        req: f.req_id,
-                        ticket: f.slot.as_ref().map(|s| s.id()).unwrap_or(NO_TICKET),
-                        shard: NO_SHARD,
-                        class: f.class as u32,
-                        kind: EventKind::of_shed(reason),
-                        detail: 0,
-                        flag: false,
-                    });
-                }
+                batch.push(f.record(Outcome::Shed(reason)));
             }
         }
         if let Some(cache) = self.cache.upgrade() {
@@ -387,21 +367,10 @@ pub(crate) struct LabelCache {
     tick: AtomicU64,
     insertions: AtomicU64,
     evictions: AtomicU64,
-    ledger: Arc<CacheLedger>,
-    /// Observability pipeline, cloned into every pending entry so
-    /// fan-out and follower-shed events can be emitted from the entry.
-    obs: Option<Arc<ServerObs>>,
 }
 
 impl LabelCache {
-    /// A cache without observability (the in-module tests' constructor —
-    /// the server always threads its `obs` through `new_with_obs`).
-    #[cfg(test)]
     pub(crate) fn new(cfg: CacheConfig) -> Arc<Self> {
-        Self::new_with_obs(cfg, None)
-    }
-
-    pub(crate) fn new_with_obs(cfg: CacheConfig, obs: Option<Arc<ServerObs>>) -> Arc<Self> {
         let stripes = cfg.stripes.max(1);
         let capacity_bytes = cfg.capacity_bytes.max(1024);
         Arc::new(Self {
@@ -413,13 +382,7 @@ impl LabelCache {
             tick: AtomicU64::new(0),
             insertions: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            ledger: Arc::new(CacheLedger::default()),
-            obs,
         })
-    }
-
-    pub(crate) fn ledger(&self) -> &Arc<CacheLedger> {
-        &self.ledger
     }
 
     fn stripe(&self, key: u64) -> &Mutex<Stripe> {
@@ -473,18 +436,23 @@ impl LabelCache {
         Arc::new(PendingEntry {
             key,
             state: Mutex::new(EntryState::Waiting(Vec::new())),
-            ledger: Arc::clone(&self.ledger),
             cache: Arc::downgrade(self),
-            obs: self.obs.clone(),
         })
     }
 
     /// Resolve a leader: fan the result out to the entry's followers,
     /// then publish it as a resolved slot (evicting within the stripe's
     /// byte budget). `value` is the leader's class-weighted predicted
-    /// value — the eviction score's numerator.
-    pub(crate) fn resolve(&self, entry: &Arc<PendingEntry>, result: CachedResult, value: f64) {
-        entry.resolve(&result);
+    /// value — the eviction score's numerator. The followers' `coalesced`
+    /// records go into `batch`.
+    pub(crate) fn resolve(
+        &self,
+        entry: &Arc<PendingEntry>,
+        result: CachedResult,
+        value: f64,
+        batch: &mut Batch,
+    ) {
+        entry.resolve(&result, batch);
         let bytes = result.approx_bytes();
         let now = self.tick.fetch_add(1, Ordering::Relaxed);
         self.insertions.fetch_add(1, Ordering::Relaxed);
@@ -560,89 +528,12 @@ impl LabelCache {
     }
 }
 
-/// One class's cache ledger: offered hits/followers, terminal buckets,
-/// and the follower sheds broken down by loss path (folded into the
-/// matching [`ClassReport`](crate::ClassReport) buckets at shutdown).
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct ClassCache {
-    pub(crate) offered: u64,
-    pub(crate) value_offered: f64,
-    pub(crate) cache_hit: u64,
-    pub(crate) coalesced: u64,
-    pub(crate) value_cached: f64,
-    pub(crate) shed_admission: u64,
-    pub(crate) shed_overflow: u64,
-    pub(crate) shed_deadline: u64,
-    pub(crate) shed_drain: u64,
-    pub(crate) value_shed: f64,
-}
-
-/// The cache's conservation ledger, mutex-guarded like the cancellation
-/// ledger and for the same reason: a terminal-event CAS and its ledger
-/// entry must be one atomic step to a report reader.
-#[derive(Debug, Default)]
-pub(crate) struct CacheLedger {
-    state: Mutex<Vec<ClassCache>>,
-}
-
-impl CacheLedger {
-    fn class_mut<R>(&self, class: usize, f: impl FnOnce(&mut ClassCache) -> R) -> R {
-        let mut classes = self.state.lock().expect("cache ledger");
-        if classes.len() <= class {
-            classes.resize(class + 1, ClassCache::default());
-        }
-        f(&mut classes[class])
-    }
-
-    /// An exact hit: offered and terminally `cache_hit`, in one step.
-    pub(crate) fn record_hit(&self, class: usize, value: f64) {
-        self.class_mut(class, |c| {
-            c.offered += 1;
-            c.value_offered += value;
-            c.cache_hit += 1;
-            c.value_cached += value;
-        });
-    }
-
-    /// A follower attached: offered now, terminal bucket later.
-    pub(crate) fn record_offered(&self, class: usize, value: f64) {
-        self.class_mut(class, |c| {
-            c.offered += 1;
-            c.value_offered += value;
-        });
-    }
-
-    /// A follower received its fan-out completion.
-    pub(crate) fn record_coalesced(&self, class: usize, value: f64) {
-        self.class_mut(class, |c| {
-            c.coalesced += 1;
-            c.value_cached += value;
-        });
-    }
-
-    /// A follower was shed with its failed leader.
-    pub(crate) fn record_follower_shed(&self, class: usize, value: f64, reason: ShedReason) {
-        self.class_mut(class, |c| {
-            match reason {
-                ShedReason::Admission => c.shed_admission += 1,
-                ShedReason::Overflow => c.shed_overflow += 1,
-                ShedReason::Deadline => c.shed_deadline += 1,
-                ShedReason::Drain => c.shed_drain += 1,
-            }
-            c.value_shed += value;
-        });
-    }
-
-    /// Per-class snapshot (index = class; empty classes default-zero).
-    pub(crate) fn by_class(&self) -> Vec<ClassCache> {
-        self.state.lock().expect("cache ledger").clone()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::completion::{CancelLedger, CompletionQueue, Ticket};
+    use crate::completion::{CompletionQueue, Ticket};
+    use crate::ledger::Ledger;
+    use crate::obs::EventKind;
 
     fn result(labels: usize) -> CachedResult {
         CachedResult {
@@ -664,14 +555,23 @@ mod tests {
         }
     }
 
-    fn slotted(cq: &Arc<CompletionQueue>, id: u64) -> (Arc<CompletionSlot>, Ticket) {
+    fn ledger() -> Arc<Ledger> {
+        Arc::new(Ledger::new(1, 0, None))
+    }
+
+    fn slotted(
+        cq: &Arc<CompletionQueue>,
+        ledger: &Arc<Ledger>,
+        id: u64,
+    ) -> (Arc<CompletionSlot>, Ticket) {
         cq.issue();
         let slot = Arc::new(CompletionSlot::new(
+            id,
             id,
             0,
             1.0,
             Arc::clone(cq),
-            Arc::new(CancelLedger::default()),
+            Arc::clone(ledger),
         ));
         (Arc::clone(&slot), Ticket::new(slot))
     }
@@ -683,7 +583,7 @@ mod tests {
             Lookup::Miss(entry) => entry,
             _ => panic!("first sighting must be a miss"),
         };
-        cache.resolve(&entry, result(4), 1.0);
+        cache.resolve(&entry, result(4), 1.0, &mut ledger().batch(0));
         match cache.lookup(42, follower()) {
             Lookup::Hit(r) => assert_eq!(r.labels.len(), 4),
             _ => panic!("resolved key must hit"),
@@ -697,12 +597,13 @@ mod tests {
     #[test]
     fn second_lookup_coalesces_and_fan_out_delivers_labeled() {
         let cache = LabelCache::new(CacheConfig::default());
+        let ledger = ledger();
         let entry = match cache.lookup(7, follower()) {
             Lookup::Miss(e) => e,
             _ => panic!("miss expected"),
         };
         let cq = Arc::new(CompletionQueue::new(4));
-        let (slot, _ticket) = slotted(&cq, 99);
+        let (slot, _ticket) = slotted(&cq, &ledger, 99);
         assert!(matches!(
             cache.lookup(
                 7,
@@ -713,26 +614,31 @@ mod tests {
             ),
             Lookup::Coalesced
         ));
-        cache.resolve(&entry, result(2), 1.0);
+        cache.resolve(&entry, result(2), 1.0, &mut ledger.batch(0));
         let event = cq.try_recv().expect("fan-out delivered");
         let labeled = event.labeled().expect("labeled completion");
         assert_eq!(labeled.ticket, 99);
         assert_eq!(labeled.labels.len(), 2);
         assert_eq!(labeled.execute_us, 0, "zero bill for a coalesced result");
-        let classes = cache.ledger().by_class();
-        assert_eq!(classes[0].coalesced, 1);
-        assert_eq!(classes[0].offered, 1, "only the follower is cache-offered");
+        let tally = ledger.merge().class(0);
+        assert_eq!(tally.count(EventKind::Coalesced), 1);
+        assert_eq!(
+            tally.count(EventKind::Admitted),
+            0,
+            "offered is counted at submit"
+        );
     }
 
     #[test]
     fn failed_leader_sheds_followers_and_the_next_lookup_leads_fresh() {
         let cache = LabelCache::new(CacheConfig::default());
+        let ledger = ledger();
         let entry = match cache.lookup(11, follower()) {
             Lookup::Miss(e) => e,
             _ => panic!("miss expected"),
         };
         let cq = Arc::new(CompletionQueue::new(4));
-        let (slot, _ticket) = slotted(&cq, 5);
+        let (slot, _ticket) = slotted(&cq, &ledger, 5);
         assert!(matches!(
             cache.lookup(
                 11,
@@ -743,7 +649,7 @@ mod tests {
             ),
             Lookup::Coalesced
         ));
-        entry.fail(ShedReason::Deadline);
+        entry.fail(ShedReason::Deadline, &mut ledger.batch(0));
         match cq.try_recv().expect("shed delivered") {
             crate::Completion::Shed { ticket, reason, .. } => {
                 assert_eq!(ticket, 5);
@@ -751,8 +657,8 @@ mod tests {
             }
             other => panic!("expected shed, got {other:?}"),
         }
-        let classes = cache.ledger().by_class();
-        assert_eq!(classes[0].shed_deadline, 1);
+        let tally = ledger.merge().class(0);
+        assert_eq!(tally.count(EventKind::ShedDeadline), 1);
         // The dead slot was removed: the key restarts as a fresh leader.
         assert!(matches!(cache.lookup(11, follower()), Lookup::Miss(_)));
     }
@@ -760,12 +666,13 @@ mod tests {
     #[test]
     fn cancelled_follower_is_skipped_by_the_fan_out() {
         let cache = LabelCache::new(CacheConfig::default());
+        let ledger = ledger();
         let entry = match cache.lookup(13, follower()) {
             Lookup::Miss(e) => e,
             _ => panic!("miss expected"),
         };
         let cq = Arc::new(CompletionQueue::new(4));
-        let (slot, ticket) = slotted(&cq, 8);
+        let (slot, ticket) = slotted(&cq, &ledger, 8);
         assert!(matches!(
             cache.lookup(
                 13,
@@ -777,15 +684,17 @@ mod tests {
             Lookup::Coalesced
         ));
         assert!(ticket.cancel());
-        cache.resolve(&entry, result(1), 1.0);
+        cache.resolve(&entry, result(1), 1.0, &mut ledger.batch(0));
         let event = cq.try_recv().expect("the cancellation event");
         assert!(event.is_cancelled(), "cancellation owns the terminal event");
         assert!(cq.try_recv().is_none(), "fan-out delivered nothing extra");
-        let classes = cache.ledger().by_class();
+        let tally = ledger.merge().class(0);
         assert_eq!(
-            classes[0].coalesced, 0,
+            tally.count(EventKind::Coalesced),
+            0,
             "a cancelled follower never coalesces"
         );
+        assert_eq!(tally.count(EventKind::Cancelled), 1);
     }
 
     #[test]
@@ -828,7 +737,7 @@ mod tests {
                 Lookup::Miss(e) => e,
                 _ => panic!("miss expected"),
             };
-            cache.resolve(&entry, result(90), value);
+            cache.resolve(&entry, result(90), value, &mut ledger().batch(0));
         }
         let report = cache.report();
         assert_eq!(report.evictions, 1);
@@ -854,7 +763,7 @@ mod tests {
                 Lookup::Miss(e) => e,
                 _ => panic!("miss expected"),
             };
-            cache.resolve(&entry, result(90), 1.0);
+            cache.resolve(&entry, result(90), 1.0, &mut ledger().batch(0));
         }
         // Touch key 1 repeatedly: key 2's equal value decays with age.
         for _ in 0..8 {
@@ -864,7 +773,7 @@ mod tests {
             Lookup::Miss(e) => e,
             _ => panic!("miss expected"),
         };
-        cache.resolve(&entry, result(90), 1.0);
+        cache.resolve(&entry, result(90), 1.0, &mut ledger().batch(0));
         assert!(
             matches!(cache.lookup(1, follower()), Lookup::Hit(_)),
             "the recently touched entry survived"

@@ -47,7 +47,7 @@
 //! a canceller running on the client's own thread cannot deadlock against
 //! the client's own full queue.
 
-use crate::obs::{Event, EventKind, ServerObs, NO_SHARD};
+use crate::ledger::{Ledger, Outcome, Record};
 use ams_models::{LabelId, ModelId};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
@@ -173,46 +173,6 @@ impl Completion {
     }
 }
 
-/// Server-side cancellation ledger: how many tickets were cancelled, by
-/// class, with the predicted value they carried. Shared between the live
-/// tickets (which record into it) and the server (which folds it into the
-/// final report), so a cancellation arriving from any thread lands in the
-/// same conservation equation as every other loss path.
-///
-/// The winning `PENDING → RESOLVED` compare-and-swap of a cancellation
-/// runs **while holding this ledger's lock** ([`CompletionSlot::try_cancel`]):
-/// any observer that can see the resolved tombstone (a worker skipping it,
-/// a queue purge) is therefore ordered after the ledger entry, and a
-/// reader taking this lock — `shutdown` folding the report after the
-/// workers joined — can never see a cancellation the counters are missing.
-#[derive(Debug, Default)]
-pub(crate) struct CancelLedger {
-    state: Mutex<CancelState>,
-}
-
-#[derive(Debug, Default)]
-struct CancelState {
-    total: u64,
-    by_class: Vec<ClassCancel>,
-}
-
-/// One class's cancellation tally.
-#[derive(Debug, Default, Clone, Copy)]
-pub(crate) struct ClassCancel {
-    pub(crate) count: u64,
-    pub(crate) value: f64,
-}
-
-impl CancelLedger {
-    pub(crate) fn total(&self) -> u64 {
-        self.state.lock().expect("cancel ledger").total
-    }
-
-    pub(crate) fn by_class(&self) -> Vec<ClassCancel> {
-        self.state.lock().expect("cancel ledger").by_class.clone()
-    }
-}
-
 const PENDING: u8 = 0;
 const CLAIMED: u8 = 1;
 const RESOLVED: u8 = 2;
@@ -227,44 +187,37 @@ pub struct CompletionSlot {
     id: u64,
     class: usize,
     value: f64,
+    /// The request's correlation id (its cancellation's ledger cell).
+    req: u64,
     state: AtomicU8,
     queue: Arc<CompletionQueue>,
-    ledger: Arc<CancelLedger>,
-    /// Observability hook (`request correlation id`, pipeline): the
-    /// cancellation path emits its terminal event from here, and every
-    /// resolution marks the ticket resolved for the outstanding-tickets
-    /// gauge.
-    obs: Option<(u64, Arc<ServerObs>)>,
+    /// The server's outcome ledger: a cancellation counts itself there,
+    /// and every resolution marks the ticket resolved on its obs gauge.
+    ledger: Arc<Ledger>,
 }
 
 impl CompletionSlot {
     pub(crate) fn new(
         id: u64,
+        req: u64,
         class: usize,
         value: f64,
         queue: Arc<CompletionQueue>,
-        ledger: Arc<CancelLedger>,
+        ledger: Arc<Ledger>,
     ) -> Self {
         Self {
             id,
             class,
             value,
+            req,
             state: AtomicU8::new(PENDING),
             queue,
             ledger,
-            obs: None,
         }
     }
 
-    /// Attach the observability pipeline (and the request's correlation
-    /// id). Must happen before the slot is shared.
-    pub(crate) fn with_obs(mut self, req_id: u64, obs: Arc<ServerObs>) -> Self {
-        self.obs = Some((req_id, obs));
-        self
-    }
-
     fn obs_resolved(&self) {
-        if let Some((_, obs)) = &self.obs {
+        if let Some(obs) = self.ledger.obs() {
             obs.ticket_resolved();
         }
     }
@@ -364,58 +317,38 @@ impl CompletionSlot {
     /// cancellation in the server ledger and delivering
     /// [`Completion::Cancelled`] on success.
     ///
-    /// The CAS runs under the ledger lock so the win and its ledger entry
-    /// are one atomic step to every ledger reader: without this, a worker
-    /// could observe the tombstone (and count nothing), the server could
-    /// join its workers and fold the report, and only then would the
-    /// preempted canceller write its ledger entry — a transient
-    /// conservation violation in the report.
+    /// The CAS runs under the ledger's cell lock ([`Ledger::record_if`])
+    /// so the win and its bucket are one atomic step to every ledger
+    /// reader: without this, a worker could observe the tombstone (and
+    /// count nothing), the server could join its workers and fold the
+    /// report, and only then would the preempted canceller count itself —
+    /// a transient conservation violation in the report.
     pub(crate) fn try_cancel(&self) -> bool {
-        let mut ledger = self.ledger.state.lock().expect("cancel ledger");
-        // AcqRel: Release publishes the cancellation (and its ledger
-        // entry, made atomic by the lock held around us) to Acquire
-        // readers; Acquire orders us after a claim/labeling that won.
-        // Acquire on failure: we must see the winner's state before
-        // reporting the cancel as lost.
-        if self
-            .state
-            .compare_exchange(PENDING, RESOLVED, Ordering::AcqRel, Ordering::Acquire)
-            .is_err()
-        {
-            return false;
-        }
-        ledger.total += 1;
-        if ledger.by_class.len() <= self.class {
-            ledger
-                .by_class
-                .resize(self.class + 1, ClassCancel::default());
-        }
-        ledger.by_class[self.class].count += 1;
-        ledger.by_class[self.class].value += self.value;
-        // Emit the terminal event *inside* the ledger-lock region: a
-        // reader that takes this lock after us (shutdown folding the
-        // report before its final ring drain) is then guaranteed every
-        // ledgered cancellation already has its event in a ring, so the
-        // event stream can never under-count what the ledger shows.
-        if let Some((req_id, obs)) = &self.obs {
-            obs.ticket_resolved();
-            obs.emit(Event {
-                at_us: obs.now_us(),
-                req: *req_id,
+        let rec = Record::new(
+            Outcome::Cancelled,
+            self.class,
+            self.value,
+            self.req,
+            self.id,
+        );
+        let won = self.ledger.record_if(rec, || {
+            // AcqRel: Release publishes the cancellation (and its ledger
+            // entry, made atomic by the cell lock held around us) to
+            // Acquire readers; Acquire orders us after a claim/labeling
+            // that won. Acquire on failure: we must see the winner's
+            // state before reporting the cancel as lost.
+            self.state
+                .compare_exchange(PENDING, RESOLVED, Ordering::AcqRel, Ordering::Acquire)
+                .is_ok()
+        });
+        if won {
+            self.obs_resolved();
+            self.queue.deliver(Completion::Cancelled {
                 ticket: self.id,
-                shard: NO_SHARD,
-                class: self.class as u32,
-                kind: EventKind::Cancelled,
-                detail: 0,
-                flag: false,
+                class: self.class,
             });
         }
-        drop(ledger);
-        self.queue.deliver(Completion::Cancelled {
-            ticket: self.id,
-            class: self.class,
-        });
-        true
+        won
     }
 
     /// Retract a ticket whose submission was refused synchronously (queue

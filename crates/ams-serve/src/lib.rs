@@ -14,6 +14,9 @@
 //!   queued or in-flight requests coalesce onto the leader and fan out
 //!   when it resolves, and eviction is priced in SLO value units
 //!   (value-per-byte × recency) under a bounded byte budget.
+//! * [`ledger`] — the one outcome ledger: every request outcome is
+//!   counted there in the same call that emits its lifecycle event, in
+//!   per-producer cells that one merge folds into every report.
 //! * [`queue`] — bounded per-shard admission queues with selectable
 //!   backpressure (block / reject / shed-oldest) and per-class admission
 //!   reservations; queued entries carry their ticket's completion slot so
@@ -48,8 +51,8 @@
 //!   [`AmsServer::render_metrics`], and a flight recorder that retains
 //!   the complete causal trace of the last N sheds, deadline misses, and
 //!   cancellations ([`AmsServer::why`]). Event totals reconcile
-//!   bucket-for-bucket against the [`ServeReport`] conservation ledger
-//!   ([`ServeReport::events_reconcile`]).
+//!   bucket-for-bucket against the [`ServeReport`] built from the
+//!   outcome ledger ([`ServeReport::events_reconcile`]).
 //! * [`telemetry`] — per-request latency histograms split into queue wait
 //!   vs execute, published as p50/p95/p99 summaries.
 //! * [`adapt`] — online adaptation: a background trainer taps served
@@ -74,6 +77,7 @@
 pub mod adapt;
 pub mod cache;
 pub mod completion;
+pub mod ledger;
 pub mod net;
 pub mod obs;
 pub mod queue;
@@ -89,7 +93,7 @@ pub use obs::{
     CacheGauges, ClassRates, EventCount, EventKind, EventRecord, MetricsSnapshot, ObsConfig,
     ObsReport, ShardGauges, SliceSnapshot, TraceReport,
 };
-pub use queue::{BackpressurePolicy, ClassShed, Request, ShardQueue, SubmitOutcome};
+pub use queue::{BackpressurePolicy, Request, ShardQueue, SubmitOutcome};
 pub use router::{fib_shard, AffinityConfig, Route, Router, RoutingMode};
 pub use server::{
     AdaptiveBatchConfig, AdaptiveReport, AmsServer, ClassReport, Client, ServeConfig, ServeReport,

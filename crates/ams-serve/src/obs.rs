@@ -24,10 +24,11 @@
 //!   cancellations and their ghost executions) retained in a bounded
 //!   ring, with a [`why`](ObsReport::why)-style dump for post-mortems.
 //!
-//! The stream is gated like everything else in this repo: per-kind event
-//! totals (drained + dropped) must reconcile bucket-for-bucket with the
-//! `ServeReport` conservation ledger
-//! (`ServeReport::events_reconcile`), and the measured obs-on vs obs-off
+//! Outcome events (admitted, enqueued, every terminal kind) are emitted
+//! by the outcome ledger ([`crate::ledger`]) in the call that counts
+//! them, so per-kind totals (drained + dropped) reconcile with the
+//! `ServeReport` built from it (`ServeReport::events_reconcile`); the
+//! causal markers are emitted directly. The measured obs-on vs obs-off
 //! capacity cost is bounded at ≤2% in `bench_serve`.
 
 use crate::completion::ShedReason;

@@ -23,7 +23,8 @@
 
 use crate::cache::PendingEntry;
 use crate::completion::{CompletionSlot, ShedReason};
-use crate::obs::{Event, EventKind, ServerObs, NO_TICKET};
+use crate::ledger::{Batch, Ledger, Outcome, Record};
+use crate::obs::NO_TICKET;
 use ams_data::ItemTruth;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -80,9 +81,9 @@ pub enum SubmitOutcome<T = ()> {
     /// the submission itself was already *doomed* (expired, or budget
     /// below the queue's drain wait) and scored strictly worst — evicting
     /// viable queued work to admit a request that would only be
-    /// deadline-shed at dequeue loses a completion for nothing. Accounted
-    /// in the overflow-shed ledger, exactly like an evicted request; the
-    /// ticket resolves to `Shed(Overflow)` immediately.
+    /// deadline-shed at dequeue loses a completion for nothing. Recorded
+    /// as an overflow shed, exactly like an evicted request; the ticket
+    /// resolves to `Shed(Overflow)` immediately.
     ShedIncoming(T),
     /// Shed at admission, before occupying a queue slot: the shard's
     /// predicted queue wait already exceeded the request's deadline, so
@@ -248,12 +249,18 @@ impl Request {
     }
 
     /// Fail the request's coalescing entry (no-op without one): its
-    /// followers are shed with `reason` and the next lookup of the
-    /// fingerprint starts a fresh leader. Idempotent.
-    pub(crate) fn fail_cache(&self, reason: ShedReason) {
+    /// followers are shed with `reason` (recorded into `batch`) and the
+    /// next lookup of the fingerprint starts a fresh leader. Idempotent.
+    pub(crate) fn fail_cache(&self, reason: ShedReason, batch: &mut Batch) {
         if let Some(entry) = &self.cache {
-            entry.fail(reason);
+            entry.fail(reason, batch);
         }
+    }
+
+    /// The request's `outcome`, as a ledger record.
+    pub(crate) fn record(&self, outcome: Outcome) -> Record {
+        let ticket = self.completion.as_ref().map_or(NO_TICKET, |s| s.id());
+        Record::new(outcome, self.class, self.value, self.req_id, ticket)
     }
 
     /// Whether the request was cancelled (or otherwise resolved) while
@@ -289,40 +296,16 @@ impl Request {
     }
 }
 
-/// Per-class overflow-shed ledger entry: how many requests of the class
-/// were evicted on overflow, and the summed predicted value lost.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct ClassShed {
-    /// Evicted requests of this class.
-    pub count: u64,
-    /// Summed predicted (weighted) value of the evicted requests.
-    pub value: f64,
-}
-
 #[derive(Debug, Default)]
 struct QueueState {
     pending: VecDeque<Request>,
     closed: bool,
-    /// Requests evicted from the queue by [`BackpressurePolicy::ShedOldest`].
-    shed_oldest: u64,
-    /// The evictions broken down by SLO class (index = class).
-    shed_classes: Vec<ClassShed>,
     /// Queued requests per SLO class (index = class) — the admission
     /// reservations' accounting.
     class_counts: Vec<usize>,
 }
 
 impl QueueState {
-    fn record_shed(&mut self, req: &Request) {
-        self.shed_oldest += 1;
-        if self.shed_classes.len() <= req.class {
-            self.shed_classes
-                .resize(req.class + 1, ClassShed::default());
-        }
-        self.shed_classes[req.class].count += 1;
-        self.shed_classes[req.class].value += req.value;
-    }
-
     fn class_count(&self, class: usize) -> usize {
         self.class_counts.get(class).copied().unwrap_or(0)
     }
@@ -407,10 +390,10 @@ pub struct ShardQueue {
     /// first: they will be deadline-shed at dequeue anyway, so their slot
     /// is free.
     service_hint_us: AtomicU64,
-    /// Observability sink (`shard index`, pipeline handle): overflow
-    /// sheds emit their lifecycle event at the exact point the ledger
-    /// counts them, so event totals reconcile with `shed_oldest`.
-    obs: Option<(u32, Arc<ServerObs>)>,
+    /// This queue's shard index and the outcome ledger its overflow sheds
+    /// are recorded in (a standalone queue keeps a private one).
+    shard: usize,
+    ledger: Arc<Ledger>,
 }
 
 impl ShardQueue {
@@ -439,32 +422,17 @@ impl ShardQueue {
             edf,
             reservations: Vec::new(),
             service_hint_us: AtomicU64::new(0),
-            obs: None,
+            shard: 0,
+            ledger: Arc::new(Ledger::new(1, 0, None)),
         }
     }
 
-    /// Attach the observability pipeline (and this queue's shard index)
-    /// so overflow evictions emit lifecycle events.
-    pub(crate) fn with_obs(mut self, shard: u32, obs: Arc<ServerObs>) -> Self {
-        self.obs = Some((shard, obs));
+    /// Record this queue's overflow sheds, as shard `shard`, in the
+    /// server's outcome ledger.
+    pub(crate) fn with_ledger(mut self, shard: usize, ledger: Arc<Ledger>) -> Self {
+        self.shard = shard;
+        self.ledger = ledger;
         self
-    }
-
-    /// Emit a terminal overflow-shed event for `req`, mirroring exactly
-    /// the points where the queue's shed ledger counts it.
-    fn emit_shed_overflow(&self, req: &Request) {
-        if let Some((shard, obs)) = &self.obs {
-            obs.emit(Event {
-                at_us: obs.now_us(),
-                req: req.req_id,
-                ticket: req.completion().map(|s| s.id()).unwrap_or(NO_TICKET),
-                shard: *shard,
-                class: req.class as u32,
-                kind: EventKind::ShedOverflow,
-                detail: 0,
-                flag: false,
-            });
-        }
     }
 
     /// Attach per-class admission reservations: `reservations[class]`
@@ -537,17 +505,6 @@ impl ShardQueue {
     /// already-cancelled tombstones.
     pub fn estimated_wait_us(&self) -> u64 {
         (self.live_len() as u64).saturating_mul(self.service_hint_us.load(Ordering::Relaxed))
-    }
-
-    /// Requests evicted on overflow so far (ShedOldest policy).
-    pub fn shed_oldest_count(&self) -> u64 {
-        self.state.lock().expect("shard queue").shed_oldest
-    }
-
-    /// The overflow evictions broken down by SLO class (index = class;
-    /// shorter than the class count when a class never shed).
-    pub fn shed_ledger(&self) -> Vec<ClassShed> {
-        self.state.lock().expect("shard queue").shed_classes.clone()
     }
 
     /// One consistent admission snapshot — `(depth, ahead)` — under a
@@ -668,9 +625,9 @@ impl ShardQueue {
 
     /// One overflow-eviction attempt under ShedOldest (queue full for the
     /// incoming request's class). Resolves the victim's completion slot
-    /// with `Shed(Overflow)`; a victim that turned out to be a
-    /// cancellation tombstone is dropped without ledgering and the caller
-    /// retries.
+    /// with `Shed(Overflow)` and records the shed; a victim that turned
+    /// out to be a cancellation tombstone is dropped without recording
+    /// and the caller retries.
     fn evict_for(&self, st: &mut QueueState, req: &Request, now: Instant) -> Eviction {
         let picked = if self.value_weighted {
             // A *doomed* incoming request (tier 0: expired, or budget
@@ -704,11 +661,12 @@ impl ShardQueue {
         };
         let shed = st.pending.remove(victim).expect("victim index in range");
         st.dec_class(shed.class);
+        let mut batch = self.ledger.batch(req.req_id);
         // An evicted coalescing leader takes its followers with it: each
         // is shed with `Overflow` through its own slot CAS. This runs for
         // the already-cancelled victim too — eviction removes the entry's
         // only path to a worker, so its followers must not wait forever.
-        shed.fail_cache(ShedReason::Overflow);
+        shed.fail_cache(ShedReason::Overflow, &mut batch);
         match shed.completion() {
             Some(slot) if !slot.try_shed(ShedReason::Overflow) => {
                 // Cancelled between selection and shedding: its event was
@@ -716,11 +674,16 @@ impl ShardQueue {
                 Eviction::Retry
             }
             _ => {
-                st.record_shed(&shed);
-                self.emit_shed_overflow(&shed);
+                batch.push(self.shed_overflow(&shed));
                 Eviction::Evicted
             }
         }
+    }
+
+    /// `req`'s overflow shed on this queue's shard, as a ledger record.
+    fn shed_overflow(&self, req: &Request) -> Record {
+        req.record(Outcome::Shed(ShedReason::Overflow))
+            .on_shard(self.shard)
     }
 
     /// Submit one request under the queue's backpressure policy. The
@@ -751,12 +714,12 @@ impl ShardQueue {
                             outcome = SubmitOutcome::EnqueuedShedOldest(());
                         }
                         Eviction::ShedIncoming => {
-                            st.record_shed(&req);
-                            self.emit_shed_overflow(&req);
+                            let mut batch = self.ledger.batch(req.req_id);
+                            batch.push(self.shed_overflow(&req));
                             // The incoming request may already lead a
                             // coalescing entry (the lookup ran before
                             // admission): shed its followers with it.
-                            req.fail_cache(ShedReason::Overflow);
+                            req.fail_cache(ShedReason::Overflow, &mut batch);
                             if let Some(slot) = req.completion() {
                                 slot.try_shed(ShedReason::Overflow);
                             }
@@ -983,6 +946,7 @@ impl ShardQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::obs::EventKind;
     use ams_data::{Dataset, DatasetProfile, TruthTable};
     use ams_models::ModelZoo;
 
@@ -995,6 +959,13 @@ mod tests {
 
     fn req(it: &Arc<ItemTruth>, sig: u64) -> Request {
         Request::new(Arc::clone(it), sig)
+    }
+
+    /// `class`'s recorded overflow sheds and their value.
+    fn shed(q: &ShardQueue, class: usize) -> (u64, f64) {
+        let c = q.ledger.merge().class(class);
+        let overflow = EventKind::ShedOverflow;
+        (c.count(overflow), c.value(&[overflow]))
     }
 
     #[test]
@@ -1015,11 +986,11 @@ mod tests {
         q.push(req(&it, 0));
         assert_eq!(q.push(req(&it, 0)), SubmitOutcome::EnqueuedShedOldest(()));
         assert_eq!(q.len(), 2, "still at capacity");
-        assert_eq!(q.shed_oldest_count(), 1);
-        let ledger = q.shed_ledger();
-        assert_eq!(ledger.len(), 1);
-        assert_eq!(ledger[0].count, 1);
-        assert!((ledger[0].value - 1.0).abs() < 1e-12, "unit default value");
+        let total = q.ledger.merge().total();
+        assert_eq!(total.count(EventKind::ShedOverflow), 1);
+        let (count, value) = shed(&q, 0);
+        assert_eq!(count, 1);
+        assert!((value - 1.0).abs() < 1e-12, "unit default value");
     }
 
     #[test]
@@ -1109,10 +1080,10 @@ mod tests {
             q.push(req(&it, 0).with_slo(0, 2.0, Some(1_000_000))),
             SubmitOutcome::EnqueuedShedOldest(())
         );
-        let ledger = q.shed_ledger();
-        assert_eq!(ledger.len(), 2, "class-1 victim recorded");
-        assert_eq!(ledger[1].count, 1);
-        assert!((ledger[1].value - 0.5).abs() < 1e-12);
+        assert_eq!(shed(&q, 0).0, 0);
+        let (count, value) = shed(&q, 1);
+        assert_eq!(count, 1, "class-1 victim recorded");
+        assert!((value - 0.5).abs() < 1e-12);
         let values: Vec<f64> = q.pop_batch(4).iter().map(|r| r.value).collect();
         assert_eq!(values, vec![5.0, 3.0, 2.0], "high-value work survived");
     }
@@ -1229,10 +1200,10 @@ mod tests {
             q.push(req(&it, 0).with_slo(1, 9.0, Some(0))),
             SubmitOutcome::ShedIncoming(())
         );
-        let ledger = q.shed_ledger();
-        assert_eq!(ledger.len(), 2, "the class-1 newcomer was the shed");
-        assert_eq!(ledger[1].count, 1);
-        assert!((ledger[1].value - 9.0).abs() < 1e-12);
+        assert_eq!(shed(&q, 0).0, 0);
+        let (count, value) = shed(&q, 1);
+        assert_eq!(count, 1, "the class-1 newcomer was the shed");
+        assert!((value - 9.0).abs() < 1e-12);
         let values: Vec<f64> = q.pop_batch(4).iter().map(|r| r.value).collect();
         assert_eq!(values, vec![5.0, 3.0], "queued work untouched");
     }
@@ -1334,8 +1305,7 @@ mod tests {
             q.push(req(&it, 0).with_slo(0, 1.0, None)),
             SubmitOutcome::ShedIncoming(())
         );
-        let ledger = q.shed_ledger();
-        assert_eq!(ledger[0].count, 1, "the class-0 newcomer was the shed");
+        assert_eq!(shed(&q, 0).0, 1, "the class-0 newcomer was the shed");
         assert_eq!(q.pop_batch(4).len(), 2, "class-1 work untouched");
     }
 
@@ -1345,15 +1315,16 @@ mod tests {
     /// spill fresh requests against dead weight.
     #[test]
     fn tombstones_are_excluded_from_admission_pricing() {
-        use crate::completion::{CancelLedger, CompletionQueue, CompletionSlot, Ticket};
+        use crate::completion::{CompletionQueue, CompletionSlot, Ticket};
         let q = ShardQueue::new(4, BackpressurePolicy::Block);
         let it = item();
         let cq = Arc::new(CompletionQueue::new(8));
-        let ledger = Arc::new(CancelLedger::default());
+        let ledger = Arc::new(Ledger::new(1, 0, None));
         let mut tickets = Vec::new();
         for id in 0..3u64 {
             cq.issue();
             let slot = Arc::new(CompletionSlot::new(
+                id,
                 id,
                 0,
                 1.0,
@@ -1380,7 +1351,11 @@ mod tests {
         assert_eq!(q.live_len(), 0);
         assert_eq!(q.queued_ahead(now + Duration::from_secs(10)), (0, 0));
         assert_eq!(q.estimated_wait_us(), 0);
-        assert_eq!(ledger.total(), 3, "cancels recorded atomically");
+        assert_eq!(
+            ledger.merge().total().count(EventKind::Cancelled),
+            3,
+            "cancels recorded atomically"
+        );
     }
 
     /// Reservation sums beyond the capacity are clamped, earlier classes

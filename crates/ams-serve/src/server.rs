@@ -38,16 +38,17 @@
 
 use crate::adapt::{AdaptConfig, AdaptReport, AdaptRuntime, AdaptShared, WorkerAdapt};
 use crate::cache::{
-    CacheConfig, CacheReport, CachedResult, ClassCache, Follower, LabelCache, Lookup, PendingEntry,
+    CacheConfig, CacheReport, CachedResult, Follower, LabelCache, Lookup, PendingEntry,
 };
 use crate::completion::{
-    CancelLedger, Completion, CompletionQueue, CompletionSlot, LabelResult, ShedReason, Ticket,
+    Completion, CompletionQueue, CompletionSlot, LabelResult, ShedReason, Ticket,
 };
+use crate::ledger::{Ledger, Outcome, Record};
 use crate::obs::{
     CacheGauges, Event, EventKind, MetricsSnapshot, ObsConfig, ObsReport, ServerObs, ShardSample,
-    TraceReport, NO_SHARD, NO_TICKET,
+    TraceReport, NO_TICKET,
 };
-use crate::queue::{BackpressurePolicy, ClassShed, Request, ShardQueue, SubmitOutcome};
+use crate::queue::{BackpressurePolicy, Request, ShardQueue, SubmitOutcome};
 use crate::router::{fib_shard, Router, RoutingMode};
 use crate::telemetry::{LatencyHistogram, LatencySummary};
 use ams_core::framework::{AdaptiveModelScheduler, Budget};
@@ -349,8 +350,9 @@ impl AdaptiveReport {
     }
 }
 
-/// One SLO class's merged ledger: every loss path, the value accounting,
-/// and the class's own latency distribution.
+/// One SLO class's slice of the outcome ledger ([`crate::ledger`]):
+/// every loss path, the value accounting, and the class's own latency
+/// distribution.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ClassReport {
     /// Class index.
@@ -365,7 +367,9 @@ pub struct ClassReport {
     pub offered: u64,
     /// Requests labeled to completion.
     pub completed: u64,
-    /// Completed requests whose total latency met the class deadline.
+    /// Delivered requests that met their deadline: worker completions by
+    /// their total latency, cache hits always (zero wait), and coalesced
+    /// followers by their own wait.
     pub deadline_met: u64,
     /// Requests refused at admission (full queue under Reject, or closed).
     pub rejected: u64,
@@ -424,10 +428,10 @@ impl ClassReport {
                 + self.coalesced
     }
 
-    /// Share of offered requests that completed within the class deadline
-    /// (0 when nothing was offered). Offered, not completed, is the
-    /// denominator: a shed request missed its deadline as far as the
-    /// client is concerned.
+    /// Share of offered requests delivered within their deadline (0 when
+    /// nothing was offered). Offered, not completed, is the denominator:
+    /// a shed request missed its deadline as far as the client is
+    /// concerned.
     pub fn deadline_met_rate(&self) -> f64 {
         if self.offered == 0 {
             return 0.0;
@@ -475,8 +479,8 @@ impl SloReport {
         self.classes.iter().map(|c| c.value_late).sum()
     }
 
-    /// Share of all offered requests that completed within their class
-    /// deadline (0 when nothing was offered).
+    /// Share of all offered requests delivered within their deadline (0
+    /// when nothing was offered).
     pub fn deadline_met_rate(&self) -> f64 {
         let offered: u64 = self.classes.iter().map(|c| c.offered).sum();
         if offered == 0 {
@@ -491,7 +495,8 @@ impl SloReport {
     }
 }
 
-/// The merged end-of-run serving record.
+/// The merged end-of-run serving record. Every outcome count in it comes
+/// from one merge of the outcome ledger ([`crate::ledger`]).
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct ServeReport {
     /// Shard count the server ran with.
@@ -817,18 +822,6 @@ impl ShardControl {
     }
 }
 
-/// Per-class counters recorded on the submit path (offered, rejected,
-/// admission-shed) — one short-lived lock per submission.
-#[derive(Debug, Default, Clone)]
-struct ClassAdmission {
-    offered: u64,
-    value_offered: f64,
-    rejected: u64,
-    value_rejected: f64,
-    shed_admission: u64,
-    value_shed_admission: f64,
-}
-
 /// Shared server state (queues + router + scheduler), behind one `Arc`.
 struct Shared {
     queues: Vec<ShardQueue>,
@@ -837,21 +830,15 @@ struct Shared {
     scheduler: AdaptiveModelScheduler,
     budget: Budget,
     cfg: ServeConfig,
-    offered: AtomicU64,
-    submitted: AtomicU64,
-    rejected: AtomicU64,
-    shed_admission: AtomicU64,
+    /// Monotone request ids: every submission's observability correlation
+    /// id and its submit-side ledger cell.
+    next_req: AtomicU64,
     /// Monotone ticket ids, unique across every client of this server.
     next_ticket: AtomicU64,
-    /// The cancellation ledger live tickets record into (shared with the
-    /// ticket slots by `Arc`, so a cancellation from any thread — even
-    /// after the server wound down — lands in one place).
-    cancel_ledger: Arc<CancelLedger>,
-    /// Per-shard, per-class submit-path ledgers (present when SLO classes
-    /// are configured; outer index = shard). Shard-local so producers
-    /// contend at the same granularity as the shard queues themselves —
-    /// one global ledger lock would serialize every submitter.
-    class_admission: Option<Vec<Mutex<Vec<ClassAdmission>>>>,
+    /// The outcome ledger (shared with the queues and the ticket slots by
+    /// `Arc`, so a cancellation from any thread — even after the server
+    /// wound down — lands in the one place every report is built from).
+    ledger: Arc<Ledger>,
     /// The content-addressed label cache (present when
     /// [`ServeConfig::cache`] is configured).
     cache: Option<Arc<LabelCache>>,
@@ -865,52 +852,45 @@ struct Shared {
     adapt: Option<Arc<AdaptShared>>,
 }
 
-/// Per-class worker-side accumulators (completions, deadline sheds,
-/// value accounting, the class latency histogram).
-#[derive(Default)]
-struct ClassLocal {
-    completed: u64,
-    deadline_met: u64,
-    value_completed: f64,
-    value_late: f64,
-    shed_deadline: u64,
-    value_shed_deadline: f64,
-    total: LatencyHistogram,
-}
-
-/// Per-worker accumulators, merged at shutdown.
+/// Per-worker execution accumulators (no outcome counts — those live in
+/// the ledger), merged at shutdown.
 struct WorkerLocal {
     stats: StreamStats,
     queue_wait: LatencyHistogram,
     execute: LatencyHistogram,
     total: LatencyHistogram,
-    completed: u64,
-    shed_deadline: u64,
     batches: u64,
     max_batch_observed: usize,
     model_invocations: u64,
     virtual_work_ms: u64,
     virtual_exec_ms: u64,
-    /// Per-class ledgers (empty when no SLO classes are configured).
-    classes: Vec<ClassLocal>,
 }
 
 impl WorkerLocal {
-    fn new(num_models: usize, num_classes: usize) -> Self {
+    fn new(num_models: usize) -> Self {
         Self {
             stats: StreamStats::with_models(num_models),
             queue_wait: LatencyHistogram::default(),
             execute: LatencyHistogram::default(),
             total: LatencyHistogram::default(),
-            completed: 0,
-            shed_deadline: 0,
             batches: 0,
             max_batch_observed: 0,
             model_invocations: 0,
             virtual_work_ms: 0,
             virtual_exec_ms: 0,
-            classes: (0..num_classes).map(|_| ClassLocal::default()).collect(),
         }
+    }
+
+    fn merge(&mut self, o: &WorkerLocal) {
+        self.stats.merge(&o.stats);
+        self.queue_wait.merge(&o.queue_wait);
+        self.execute.merge(&o.execute);
+        self.total.merge(&o.total);
+        self.batches += o.batches;
+        self.max_batch_observed = self.max_batch_observed.max(o.max_batch_observed);
+        self.model_invocations += o.model_invocations;
+        self.virtual_work_ms += o.virtual_work_ms;
+        self.virtual_exec_ms += o.virtual_exec_ms;
     }
 }
 
@@ -988,13 +968,9 @@ fn obs_shard_samples(shared: &Shared) -> Vec<ShardSample> {
 fn obs_cache_gauges(shared: &Shared) -> Option<CacheGauges> {
     shared.cache.as_ref().map(|c| {
         let r = c.report();
-        let hits: u64 = c
-            .ledger()
-            .by_class()
-            .iter()
-            .map(|cc| cc.cache_hit + cc.coalesced)
-            .sum();
-        let offered = shared.offered.load(Ordering::Relaxed);
+        let all = shared.ledger.merge().total();
+        let offered = all.count(EventKind::Admitted);
+        let hits = all.count(EventKind::CacheHit) + all.count(EventKind::Coalesced);
         CacheGauges {
             entries: r.entries,
             bytes: r.bytes,
@@ -1059,15 +1035,16 @@ impl AmsServer {
             .obs
             .clone()
             .map(|o| Arc::new(ServerObs::new(o, cfg.shards, cfg.workers_per_shard)));
+        let ledger = Arc::new(Ledger::new(
+            cfg.shards,
+            cfg.shards * cfg.workers_per_shard,
+            obs.clone(),
+        ));
         let queues: Vec<ShardQueue> = (0..cfg.shards)
             .map(|shard| {
-                let mut q =
-                    ShardQueue::with_slo(cfg.queue_capacity, cfg.policy, value_weighted, edf)
-                        .with_reservations(reservations.clone());
-                if let Some(o) = &obs {
-                    q = q.with_obs(shard as u32, Arc::clone(o));
-                }
-                q
+                ShardQueue::with_slo(cfg.queue_capacity, cfg.policy, value_weighted, edf)
+                    .with_reservations(reservations.clone())
+                    .with_ledger(shard, Arc::clone(&ledger))
             })
             .collect();
         // The controller starts every shard at the configured static limit,
@@ -1079,11 +1056,6 @@ impl AmsServer {
         let controls = (0..cfg.shards)
             .map(|_| ShardControl::new(start_limit))
             .collect();
-        let class_admission = cfg.slo.as_ref().map(|s| {
-            (0..cfg.shards)
-                .map(|_| Mutex::new(vec![ClassAdmission::default(); s.classes.len()]))
-                .collect()
-        });
         // Without SLO classes nothing consumes `Route::value`, so hash
         // routing skips the per-submission value scan.
         let mut router = Router::new(cfg.routing, cfg.shards);
@@ -1105,14 +1077,10 @@ impl AmsServer {
             scheduler,
             budget,
             cfg,
-            offered: AtomicU64::new(0),
-            submitted: AtomicU64::new(0),
-            rejected: AtomicU64::new(0),
-            shed_admission: AtomicU64::new(0),
+            next_req: AtomicU64::new(0),
             next_ticket: AtomicU64::new(0),
-            cancel_ledger: Arc::new(CancelLedger::default()),
-            class_admission,
-            cache: cfg_cache.map(|c| LabelCache::new_with_obs(c, obs.clone())),
+            ledger,
+            cache: cfg_cache.map(LabelCache::new),
             obs,
             adapt: adapt.as_ref().map(|r| Arc::clone(&r.shared)),
         });
@@ -1189,7 +1157,6 @@ impl AmsServer {
         Client {
             shared: Arc::downgrade(self.shared()),
             queue: Arc::new(CompletionQueue::new(capacity)),
-            cancel_ledger: Arc::clone(&self.shared().cancel_ledger),
         }
     }
 
@@ -1309,27 +1276,16 @@ impl ServerInner {
     /// The abort path (`Drop` without `shutdown`): discard queued work,
     /// notify its tickets, join the workers, drop the report.
     fn abort(self) {
-        for q in &self.shared.queues {
+        for (shard, q) in self.shared.queues.iter().enumerate() {
+            let mut batch = self.shared.ledger.batch(shard as u64);
             for victim in q.abort() {
                 // A discarded coalescing leader drains its followers too.
-                victim.fail_cache(ShedReason::Drain);
-                let owned = match victim.completion() {
-                    Some(slot) => slot.try_shed(ShedReason::Drain),
-                    None => true,
-                };
-                if owned {
-                    if let Some(obs) = &self.shared.obs {
-                        obs.emit(Event {
-                            at_us: obs.now_us(),
-                            req: victim.req_id,
-                            ticket: victim.completion().map_or(NO_TICKET, |s| s.id()),
-                            shard: NO_SHARD,
-                            class: victim.class as u32,
-                            kind: EventKind::ShedDrain,
-                            detail: 0,
-                            flag: false,
-                        });
-                    }
+                victim.fail_cache(ShedReason::Drain, &mut batch);
+                if victim
+                    .completion()
+                    .is_none_or(|slot| slot.try_shed(ShedReason::Drain))
+                {
+                    batch.push(victim.record(Outcome::Shed(ShedReason::Drain)));
                 }
             }
         }
@@ -1353,31 +1309,9 @@ impl ServerInner {
         for q in &self.shared.queues {
             q.close();
         }
-        let num_models = self.shared.scheduler.zoo().len();
-        let num_classes = self.shared.cfg.slo.as_ref().map_or(0, |s| s.classes.len());
-        let mut merged = WorkerLocal::new(num_models, num_classes);
+        let mut merged = WorkerLocal::new(self.shared.scheduler.zoo().len());
         for handle in self.workers {
-            let local = handle.join().expect("serve worker panicked");
-            merged.stats.merge(&local.stats);
-            merged.queue_wait.merge(&local.queue_wait);
-            merged.execute.merge(&local.execute);
-            merged.total.merge(&local.total);
-            merged.completed += local.completed;
-            merged.shed_deadline += local.shed_deadline;
-            merged.batches += local.batches;
-            merged.max_batch_observed = merged.max_batch_observed.max(local.max_batch_observed);
-            merged.model_invocations += local.model_invocations;
-            merged.virtual_work_ms += local.virtual_work_ms;
-            merged.virtual_exec_ms += local.virtual_exec_ms;
-            for (into, from) in merged.classes.iter_mut().zip(&local.classes) {
-                into.completed += from.completed;
-                into.deadline_met += from.deadline_met;
-                into.value_completed += from.value_completed;
-                into.value_late += from.value_late;
-                into.shed_deadline += from.shed_deadline;
-                into.value_shed_deadline += from.value_shed_deadline;
-                into.total.merge(&from.total);
-            }
+            merged.merge(&handle.join().expect("serve worker panicked"));
         }
         // Finish the trainer after the workers joined (their tap senders
         // are gone, so dropping the runtime's own sender disconnects the
@@ -1394,27 +1328,10 @@ impl ServerInner {
         if let Some(handle) = self.aggregator {
             handle.join().expect("obs aggregator panicked");
         }
-        let shed_oldest: u64 = self
-            .shared
-            .queues
-            .iter()
-            .map(ShardQueue::shed_oldest_count)
-            .sum();
-        // Per-class overflow-shed ledgers, merged across shards.
-        let mut shed_classes: Vec<ClassShed> = vec![ClassShed::default(); num_classes];
-        for q in &self.shared.queues {
-            for (class, entry) in q.shed_ledger().into_iter().enumerate() {
-                if class < shed_classes.len() {
-                    shed_classes[class].count += entry.count;
-                    shed_classes[class].value += entry.value;
-                }
-            }
-        }
         // Clients hold only weak references, so the shared state is read
         // in place — a client submitting after this point sees closed
         // queues (`Rejected`), and cancellations of still-live tickets
-        // keep landing in the shared cancel ledger (read below *after*
-        // the workers joined, so every worker-side resolution is final).
+        // keep landing in the shared ledger.
         let shared = &self.shared;
         let adaptive = shared.cfg.adaptive.map(|acfg| AdaptiveReport {
             target_p99_ms: acfg.target_p99_ms,
@@ -1425,27 +1342,12 @@ impl ServerInner {
                 .map(|(shard, ctl)| ctl.record(shard, &acfg))
                 .collect(),
         });
-        let cancelled_classes = shared.cancel_ledger.by_class();
-        let cancelled = shared.cancel_ledger.total();
-        // The cache ledger: hits and coalesced followers get their own
-        // buckets; followers shed with a failed leader fold into the
-        // matching loss buckets (their loss path was real). Drain sheds
-        // only happen on abort, where no report exists.
-        let cache_classes: Vec<ClassCache> = shared
-            .cache
-            .as_ref()
-            .map_or_else(Vec::new, |c| c.ledger().by_class());
-        let cache_hit: u64 = cache_classes.iter().map(|c| c.cache_hit).sum();
-        let coalesced: u64 = cache_classes.iter().map(|c| c.coalesced).sum();
-        let follower_shed_admission: u64 = cache_classes.iter().map(|c| c.shed_admission).sum();
-        let follower_shed_overflow: u64 = cache_classes.iter().map(|c| c.shed_overflow).sum();
-        let follower_shed_deadline: u64 = cache_classes.iter().map(|c| c.shed_deadline).sum();
-        // The final observability fold. `report` drains the rings one last
-        // time, and the order matters: every ledger above was read first,
-        // and every ledgered settlement pushed its event *before* its
-        // ledger mutation became visible — so the drain can only see a
-        // superset of the settlements the counters above counted, never
-        // miss one (`events_reconcile` depends on this).
+        // The ledger is merged *before* the final observability drain
+        // inside `report`: every record pushed its event before its bucket
+        // moved, so the drain sees a superset of what the merge counted
+        // (`events_reconcile` depends on this order).
+        let tally = shared.ledger.merge();
+        let all = tally.total();
         let obs_report = shared.obs.as_ref().map(|o| {
             o.report(
                 &obs_shard_samples(shared),
@@ -1453,70 +1355,47 @@ impl ServerInner {
                 adapt_report.as_ref().map(|a| a.generation),
             )
         });
-        let slo = shared.cfg.slo.as_ref().map(|slo_cfg| {
-            // Fold the per-shard submit-path ledgers into one.
-            let mut admission = vec![ClassAdmission::default(); slo_cfg.classes.len()];
-            for shard_ledger in shared
-                .class_admission
-                .as_ref()
-                .expect("ledger exists when SLO is configured")
-            {
-                for (into, from) in admission
-                    .iter_mut()
-                    .zip(shard_ledger.lock().expect("class ledger").iter())
-                {
-                    into.offered += from.offered;
-                    into.value_offered += from.value_offered;
-                    into.rejected += from.rejected;
-                    into.value_rejected += from.value_rejected;
-                    into.shed_admission += from.shed_admission;
-                    into.value_shed_admission += from.value_shed_admission;
-                }
-            }
-            SloReport {
-                admission_control: slo_cfg.admission_control,
-                value_weighted_shedding: slo_cfg.value_weighted_shedding,
-                edf_dequeue: slo_cfg.edf_dequeue,
-                classes: slo_cfg
-                    .classes
-                    .iter()
-                    .enumerate()
-                    .map(|(i, c)| {
-                        let adm = &admission[i];
-                        let local = &merged.classes[i];
-                        let oldest = shed_classes[i];
-                        let cancel = cancelled_classes.get(i).copied().unwrap_or_default();
-                        let cached = cache_classes.get(i).copied().unwrap_or_default();
-                        ClassReport {
-                            class: i,
-                            name: c.name.clone(),
-                            deadline_ms: c.deadline_ms,
-                            weight: c.weight,
-                            offered: adm.offered + cached.offered,
-                            completed: local.completed,
-                            deadline_met: local.deadline_met,
-                            rejected: adm.rejected,
-                            shed_admission: adm.shed_admission + cached.shed_admission,
-                            shed_oldest: oldest.count + cached.shed_overflow,
-                            shed_deadline: local.shed_deadline + cached.shed_deadline,
-                            cancelled: cancel.count,
-                            cache_hit: cached.cache_hit,
-                            coalesced: cached.coalesced,
-                            value_cached: cached.value_cached,
-                            value_cancelled: cancel.value,
-                            value_offered: adm.value_offered + cached.value_offered,
-                            value_completed: local.value_completed,
-                            value_late: local.value_late,
-                            value_shed: adm.value_rejected
-                                + adm.value_shed_admission
-                                + oldest.value
-                                + local.value_shed_deadline
-                                + cached.value_shed,
-                            total: local.total.summary(),
-                        }
-                    })
-                    .collect(),
-            }
+        let slo = shared.cfg.slo.as_ref().map(|slo_cfg| SloReport {
+            admission_control: slo_cfg.admission_control,
+            value_weighted_shedding: slo_cfg.value_weighted_shedding,
+            edf_dequeue: slo_cfg.edf_dequeue,
+            classes: slo_cfg
+                .classes
+                .iter()
+                .enumerate()
+                .map(|(i, c)| {
+                    let t = tally.class(i);
+                    ClassReport {
+                        class: i,
+                        name: c.name.clone(),
+                        deadline_ms: c.deadline_ms,
+                        weight: c.weight,
+                        offered: t.count(EventKind::Admitted),
+                        completed: t.count(EventKind::Labeled),
+                        deadline_met: t.deadline_met,
+                        rejected: t.count(EventKind::Rejected),
+                        shed_admission: t.count(EventKind::ShedAdmission),
+                        shed_oldest: t.count(EventKind::ShedOverflow),
+                        shed_deadline: t.count(EventKind::ShedDeadline),
+                        cancelled: t.count(EventKind::Cancelled),
+                        cache_hit: t.count(EventKind::CacheHit),
+                        coalesced: t.count(EventKind::Coalesced),
+                        value_cached: t.value(&[EventKind::CacheHit, EventKind::Coalesced]),
+                        value_cancelled: t.value(&[EventKind::Cancelled]),
+                        value_offered: t.value(&[EventKind::Admitted]),
+                        value_completed: t.value(&[EventKind::Labeled]),
+                        value_late: t.value_late,
+                        value_shed: t.value(&[
+                            EventKind::Rejected,
+                            EventKind::ShedAdmission,
+                            EventKind::ShedOverflow,
+                            EventKind::ShedDeadline,
+                            EventKind::ShedDrain,
+                        ]),
+                        total: t.total.summary(),
+                    }
+                })
+                .collect(),
         });
         ServeReport {
             shards: shared.cfg.shards,
@@ -1525,16 +1404,16 @@ impl ServerInner {
             routing: shared.router.mode().name().to_string(),
             affinity_hits: shared.router.affinity_hits(),
             affinity_spills: shared.router.affinity_spills(),
-            offered: shared.offered.load(Ordering::Relaxed),
-            submitted: shared.submitted.load(Ordering::Relaxed),
-            completed: merged.completed,
-            rejected: shared.rejected.load(Ordering::Relaxed),
-            shed_oldest: shed_oldest + follower_shed_overflow,
-            shed_deadline: merged.shed_deadline + follower_shed_deadline,
-            shed_admission: shared.shed_admission.load(Ordering::Relaxed) + follower_shed_admission,
-            cancelled,
-            cache_hit,
-            coalesced,
+            offered: all.count(EventKind::Admitted),
+            submitted: all.count(EventKind::Enqueued),
+            completed: all.count(EventKind::Labeled),
+            rejected: all.count(EventKind::Rejected),
+            shed_oldest: all.count(EventKind::ShedOverflow),
+            shed_deadline: all.count(EventKind::ShedDeadline),
+            shed_admission: all.count(EventKind::ShedAdmission),
+            cancelled: all.count(EventKind::Cancelled),
+            cache_hit: all.count(EventKind::CacheHit),
+            coalesced: all.count(EventKind::Coalesced),
             batches: merged.batches,
             max_batch_observed: merged.max_batch_observed,
             model_invocations: merged.model_invocations,
@@ -1595,7 +1474,6 @@ impl ServerInner {
 pub struct Client {
     shared: Weak<Shared>,
     queue: Arc<CompletionQueue>,
-    cancel_ledger: Arc<CancelLedger>,
 }
 
 impl Client {
@@ -1774,9 +1652,9 @@ fn submit_inner(
     let fp = shared
         .router
         .fingerprint(&shared.scheduler, &item, shared.cache.is_some());
-    // The prior `offered` count doubles as the request's observability
-    // correlation id: unique per submission, ticketed or not.
-    let req_id = shared.offered.fetch_add(1, Ordering::Relaxed);
+    // The request id is the observability correlation id and picks the
+    // submit-side ledger cell: unique per submission, ticketed or not.
+    let req_id = shared.next_req.fetch_add(1, Ordering::Relaxed);
     // A per-ticket value replaces the predicted one; either way the
     // class stays the ledger bucket, so conservation sums are untouched.
     let value = opts.value.unwrap_or(match &shared.cfg.slo {
@@ -1785,31 +1663,21 @@ fn submit_inner(
     });
     let ticket = client.map(|c| {
         let id = shared.next_ticket.fetch_add(1, Ordering::Relaxed);
-        let mut slot = CompletionSlot::new(
+        if let Some(obs) = &shared.obs {
+            obs.ticket_issued();
+        }
+        Ticket::new(Arc::new(CompletionSlot::new(
             id,
+            req_id,
             class,
             value,
             Arc::clone(&c.queue),
-            Arc::clone(&c.cancel_ledger),
-        );
-        if let Some(obs) = &shared.obs {
-            obs.ticket_issued();
-            slot = slot.with_obs(req_id, Arc::clone(obs));
-        }
-        Ticket::new(Arc::new(slot))
+            Arc::clone(&shared.ledger),
+        )))
     });
-    if let Some(obs) = &shared.obs {
-        obs.emit(Event {
-            at_us: obs.now_us(),
-            req: req_id,
-            ticket: ticket.as_ref().map_or(NO_TICKET, |t| t.slot().id()),
-            shard: NO_SHARD,
-            class: class as u32,
-            kind: EventKind::Admitted,
-            detail: 0,
-            flag: false,
-        });
-    }
+    let ticket_id = ticket.as_ref().map_or(NO_TICKET, Ticket::id);
+    let rec = |outcome| Record::new(outcome, class, value, req_id, ticket_id);
+    shared.ledger.record(rec(Outcome::Offered));
     // Pre-admission cache protocol: an exact duplicate of a *resolved*
     // fingerprint is answered right here — cached labels, zero queue
     // wait, zero virtual-GPU bill, no queue slot; a duplicate of a
@@ -1828,19 +1696,7 @@ fn submit_inner(
         };
         match cache.lookup(fp.content, follower) {
             Lookup::Hit(result) => {
-                cache.ledger().record_hit(class, value);
-                if let Some(obs) = &shared.obs {
-                    obs.emit(Event {
-                        at_us: obs.now_us(),
-                        req: req_id,
-                        ticket: ticket.as_ref().map_or(NO_TICKET, |t| t.slot().id()),
-                        shard: NO_SHARD,
-                        class: class as u32,
-                        kind: EventKind::CacheHit,
-                        detail: 0,
-                        flag: false,
-                    });
-                }
+                shared.ledger.record(rec(Outcome::CacheHit));
                 if let Some(t) = &ticket {
                     let slot = t.slot();
                     slot.try_labeled(LabelResult {
@@ -1871,7 +1727,7 @@ fn submit_inner(
             obs.emit(Event {
                 at_us: obs.now_us(),
                 req: req_id,
-                ticket: ticket.as_ref().map_or(NO_TICKET, |t| t.slot().id()),
+                ticket: ticket_id,
                 shard: route.shard as u32,
                 class: class as u32,
                 kind: EventKind::Spilled,
@@ -1879,11 +1735,6 @@ fn submit_inner(
                 flag: false,
             });
         }
-    }
-    if let Some(ledgers) = &shared.class_admission {
-        let mut l = ledgers[route.shard].lock().expect("class ledger");
-        l[class].offered += 1;
-        l[class].value_offered += value;
     }
     if let (Some(slo), Some(deadline)) = (&shared.cfg.slo, deadline_us) {
         if slo.admission_control {
@@ -1923,34 +1774,21 @@ fn submit_inner(
             let doomed =
                 wait_us >= deadline as f64 || (full && wait_us + span as f64 >= deadline as f64);
             if amortized > 0 && doomed {
-                shared.shed_admission.fetch_add(1, Ordering::Relaxed);
                 // No cancel race to lose: the ticket has not been returned
-                // to the caller yet, so this shed always owns the slot —
-                // the event mirrors the unconditional counter above.
-                if let Some(obs) = &shared.obs {
-                    obs.emit(Event {
-                        at_us: obs.now_us(),
-                        req: req_id,
-                        ticket: ticket.as_ref().map_or(NO_TICKET, |t| t.slot().id()),
-                        shard: route.shard as u32,
-                        class: class as u32,
-                        kind: EventKind::ShedAdmission,
-                        detail: wait_us as u64,
-                        flag: false,
-                    });
-                }
-                if let Some(ledgers) = &shared.class_admission {
-                    let mut l = ledgers[route.shard].lock().expect("class ledger");
-                    l[class].shed_admission += 1;
-                    l[class].value_shed_admission += value;
-                }
+                // to the caller yet, so this shed always owns the slot.
+                let mut batch = shared.ledger.batch(req_id);
+                batch.push(
+                    rec(Outcome::Shed(ShedReason::Admission))
+                        .on_shard(route.shard)
+                        .detail(wait_us as u64),
+                );
                 // The ticket resolves right here: the shed *is* its
                 // terminal event, delivered at decision time. A shed
                 // leader takes its pending cache entry down with it —
                 // no worker will ever resolve it, so followers that
                 // coalesced between lookup and here shed too.
                 if let Some(entry) = &lead {
-                    entry.fail(ShedReason::Admission);
+                    entry.fail(ShedReason::Admission, &mut batch);
                 }
                 if let Some(t) = &ticket {
                     t.slot().try_shed(ShedReason::Admission);
@@ -1971,45 +1809,19 @@ fn submit_inner(
     let outcome = shared.queues[route.shard].push(req);
     match outcome {
         SubmitOutcome::Enqueued(()) | SubmitOutcome::EnqueuedShedOldest(()) => {
-            shared.submitted.fetch_add(1, Ordering::Relaxed);
-            if let Some(obs) = &shared.obs {
-                obs.emit(Event {
-                    at_us: obs.now_us(),
-                    req: req_id,
-                    ticket: ticket.as_ref().map_or(NO_TICKET, |t| t.slot().id()),
-                    shard: route.shard as u32,
-                    class: class as u32,
-                    kind: EventKind::Enqueued,
-                    detail: 0,
-                    flag: false,
-                });
-            }
+            shared
+                .ledger
+                .record(rec(Outcome::Enqueued).on_shard(route.shard));
         }
-        // The submission itself was the overflow shed: it never
-        // entered a queue (so it is not `submitted`) and the queue
-        // recorded it in the overflow-shed ledger — and resolved its
-        // ticket with `Shed(Overflow)` — which keeps the conservation
-        // equation balanced.
+        // The submission itself was the overflow shed: it never entered a
+        // queue (so it is not `submitted`), and the queue recorded it as
+        // an overflow shed — and resolved its ticket with
+        // `Shed(Overflow)` — which keeps the conservation equation
+        // balanced.
         SubmitOutcome::ShedIncoming(()) => {}
         SubmitOutcome::Rejected => {
-            shared.rejected.fetch_add(1, Ordering::Relaxed);
-            if let Some(obs) = &shared.obs {
-                obs.emit(Event {
-                    at_us: obs.now_us(),
-                    req: req_id,
-                    ticket: ticket.as_ref().map_or(NO_TICKET, |t| t.slot().id()),
-                    shard: route.shard as u32,
-                    class: class as u32,
-                    kind: EventKind::Rejected,
-                    detail: 0,
-                    flag: false,
-                });
-            }
-            if let Some(ledgers) = &shared.class_admission {
-                let mut l = ledgers[route.shard].lock().expect("class ledger");
-                l[class].rejected += 1;
-                l[class].value_rejected += value;
-            }
+            let mut batch = shared.ledger.batch(req_id);
+            batch.push(rec(Outcome::Rejected).on_shard(route.shard));
             // A rejection is synchronous: the caller sees it, no event
             // is owed, so the provisional ticket is withdrawn and its
             // window slot released. The leader's pending cache entry
@@ -2017,7 +1829,7 @@ fn submit_inner(
             // means the shard queue was full or closed, and no more
             // specific shed reason exists for "leader never enqueued".
             if let Some(entry) = &lead {
-                entry.fail(ShedReason::Overflow);
+                entry.fail(ShedReason::Overflow, &mut batch);
             }
             if let Some(t) = &ticket {
                 t.slot().retract();
@@ -2053,8 +1865,24 @@ fn worker_loop(
     // worker is pinned to `shard` for its whole life.
     let queue = &shared.queues[shard]; // ams-lint: allow(no-panic) shard < queues.len() — workers are spawned one per existing shard
     let control = &shared.controls[shard]; // ams-lint: allow(no-panic) shard < controls.len() — controls is built with one entry per shard
-    let num_classes = shared.cfg.slo.as_ref().map_or(0, |s| s.classes.len());
-    let mut local = WorkerLocal::new(n, num_classes);
+    let mut local = WorkerLocal::new(n);
+    // Causal markers (not outcomes, which the ledger emits) go straight
+    // to this worker's ring.
+    let mark = |req: &Request, kind: EventKind, detail: u64| {
+        if let Some(obs) = &shared.obs {
+            let ev = Event {
+                at_us: obs.now_us(),
+                req: req.req_id,
+                ticket: req.completion().map_or(NO_TICKET, |s| s.id()),
+                shard: shard as u32,
+                class: req.class as u32,
+                kind,
+                detail,
+                flag: false,
+            };
+            obs.emit_worker(worker, ev);
+        }
+    };
     let mut runs_per_model = vec![0usize; n];
     loop {
         // Under adaptive batching the shard's live limit replaces the
@@ -2070,19 +1898,22 @@ fn worker_loop(
             return local;
         }
         let exec_start = Instant::now();
+        // The batch's outcomes, committed to this worker's ledger cell
+        // when the iteration ends — one cell lock per batch.
+        let mut recs = shared.ledger.worker_batch(worker);
 
         // Deadline-aware shedding: a request whose queue age has already
         // exhausted its deadline budget (its SLO class deadline, or the
         // server-wide request timeout when no classes are configured —
         // `submit` stamped whichever applies onto the request) is dropped
-        // before any work is spent on it. A shed request is accounted
-        // exactly once — in `shed_deadline` — and never reaches the stats
+        // before any work is spent on it. A shed request is recorded
+        // exactly once — as `shed_deadline` — and never reaches the stats
         // (the recall denominator) or the latency histograms.
         //
         // Cancellation races resolve here: a ticketed request is *claimed*
         // (`PENDING → CLAIMED`) before any labeling work, so a cancel that
         // arrives later is too late, while a request cancelled between
-        // enqueue and this point is skipped without ledgering anything —
+        // enqueue and this point is skipped without recording anything —
         // the cancellation already delivered its terminal event and
         // recorded itself.
         // The third field marks a *ghost*: a leader whose own ticket
@@ -2099,32 +1930,16 @@ fn worker_loop(
             if req.expired(now) {
                 // An expired leader takes its coalesced followers down
                 // with it, whoever owns the leader's own shed event.
-                req.fail_cache(ShedReason::Deadline);
-                let owns_shed = match req.completion() {
-                    Some(slot) => slot.try_shed(ShedReason::Deadline),
-                    None => true,
-                };
-                if owns_shed {
-                    local.shed_deadline += 1;
-                    if let Some(cl) = local.classes.get_mut(req.class) {
-                        cl.shed_deadline += 1;
-                        cl.value_shed_deadline += req.value;
-                    }
-                    if let Some(obs) = &shared.obs {
-                        obs.emit_worker(
-                            worker,
-                            Event {
-                                at_us: obs.now_us(),
-                                req: req.req_id,
-                                ticket: req.completion().map_or(NO_TICKET, |s| s.id()),
-                                shard: shard as u32,
-                                class: req.class as u32,
-                                kind: EventKind::ShedDeadline,
-                                detail: wait.as_micros().min(u128::from(u64::MAX)) as u64,
-                                flag: false,
-                            },
-                        );
-                    }
+                req.fail_cache(ShedReason::Deadline, &mut recs);
+                if req
+                    .completion()
+                    .is_none_or(|slot| slot.try_shed(ShedReason::Deadline))
+                {
+                    recs.push(
+                        req.record(Outcome::Shed(ShedReason::Deadline))
+                            .on_shard(shard)
+                            .detail(wait.as_micros().min(u128::from(u64::MAX)) as u64),
+                    );
                 }
             } else {
                 let claimed = match req.completion() {
@@ -2153,19 +1968,7 @@ fn worker_loop(
             obs.batch_started(shard, survivors.len());
             let size = survivors.len() as u64;
             for (req, _, _) in &survivors {
-                obs.emit_worker(
-                    worker,
-                    Event {
-                        at_us: obs.now_us(),
-                        req: req.req_id,
-                        ticket: req.completion().map_or(NO_TICKET, |s| s.id()),
-                        shard: shard as u32,
-                        class: req.class as u32,
-                        kind: EventKind::Batched,
-                        detail: size,
-                        flag: false,
-                    },
-                );
+                mark(req, EventKind::Batched, size);
             }
         }
 
@@ -2260,27 +2063,14 @@ fn worker_loop(
                         recall: outcome.recall,
                     },
                     req.value,
+                    &mut recs,
                 );
             }
             if *ghost {
                 // Billed above (its model runs are in `runs_per_model`),
                 // but its own ticket already resolved as cancelled —
                 // nothing to complete, record, or deliver.
-                if let Some(obs) = &shared.obs {
-                    obs.emit_worker(
-                        worker,
-                        Event {
-                            at_us: obs.now_us(),
-                            req: req.req_id,
-                            ticket: req.completion().map_or(NO_TICKET, |s| s.id()),
-                            shard: shard as u32,
-                            class: req.class as u32,
-                            kind: EventKind::GhostExecuted,
-                            detail: exec_us,
-                            flag: false,
-                        },
-                    );
-                }
+                mark(req, EventKind::GhostExecuted, exec_us);
                 continue;
             }
             local.stats.absorb(&outcome, shared.cfg.alert_recall);
@@ -2288,49 +2078,14 @@ fn worker_loop(
             local.execute.record(exec_elapsed);
             let total = *wait + exec_elapsed;
             local.total.record(total);
-            local.completed += 1;
-            let met = req
-                .deadline_us
-                .is_none_or(|d| total.as_micros().min(u128::from(u64::MAX)) as u64 <= d);
-            if let Some(cl) = local.classes.get_mut(req.class) {
-                cl.completed += 1;
-                cl.value_completed += req.value;
-                cl.total.record(total);
-                cl.deadline_met += u64::from(met);
-                if !met {
-                    cl.value_late += req.value;
-                }
-            }
-            if let Some(obs) = &shared.obs {
-                let at = obs.now_us();
-                let t = req.completion().map_or(NO_TICKET, |s| s.id());
-                obs.emit_worker(
-                    worker,
-                    Event {
-                        at_us: at,
-                        req: req.req_id,
-                        ticket: t,
-                        shard: shard as u32,
-                        class: req.class as u32,
-                        kind: EventKind::Executed,
-                        detail: exec_us,
-                        flag: false,
-                    },
-                );
-                obs.emit_worker(
-                    worker,
-                    Event {
-                        at_us: at,
-                        req: req.req_id,
-                        ticket: t,
-                        shard: shard as u32,
-                        class: req.class as u32,
-                        kind: EventKind::Labeled,
-                        detail: total.as_micros().min(u128::from(u64::MAX)) as u64,
-                        flag: !met,
-                    },
-                );
-            }
+            let total_us = total.as_micros().min(u128::from(u64::MAX)) as u64;
+            let met = req.deadline_us.is_none_or(|d| total_us <= d);
+            mark(req, EventKind::Executed, exec_us);
+            recs.push(
+                req.record(Outcome::Completed { met })
+                    .on_shard(shard)
+                    .detail(total_us),
+            );
             // Per-request delivery: the claimed slot receives the
             // request's *own* labels and latency split — the payload the
             // aggregate-only path folds into `ServeReport::stats`.

@@ -122,6 +122,48 @@ fn repeated_stream_hits_and_coalesces_losslessly() {
     assert_eq!(report.stats.items, 10);
 }
 
+/// Regression: `ClassReport::deadline_met` used to count only worker
+/// completions while its `deadline_met_rate` denominator counted every
+/// offered request, so one item submitted ten times under a 60 s class —
+/// all ten clients labeled on time — reported a 10% rate. Cache hits and
+/// coalesced followers are deliveries too, and count when on time.
+#[test]
+fn cache_answers_count_toward_deadline_met() {
+    let server = AmsServer::start(
+        scheduler(),
+        Budget::Deadline { ms: 900 },
+        ServeConfig {
+            shards: 1,
+            workers_per_shard: 1,
+            cache: Some(CacheConfig::default()),
+            slo: Some(SloConfig::aware(vec![SloClass::new(
+                "relaxed", 60_000, 1.0,
+            )])),
+            ..ServeConfig::default()
+        },
+    );
+    let client = server.client();
+    let item = Arc::new(truth().item(0).clone());
+    let mut on_time = 0;
+    // The second five arrive after the first resolved: all exact hits.
+    for _ in 0..2 {
+        for _ in 0..5 {
+            assert!(client.submit(Arc::clone(&item)).ticket().is_some());
+        }
+        while let Some(ev) = client.recv() {
+            on_time += u64::from(ev.labeled().expect("lossless").deadline_met);
+        }
+    }
+    let report = server.shutdown();
+    assert_eq!(on_time, 10, "every client was labeled in time");
+    assert_eq!(report.completed + report.cache_hit + report.coalesced, 10);
+    assert!(report.cache_hit >= 5);
+    let slo = report.slo.as_ref().expect("slo ledger");
+    assert_eq!(slo.classes[0].deadline_met, 10);
+    assert_eq!(slo.classes[0].deadline_met_rate(), 1.0);
+    assert_eq!(slo.deadline_met_rate(), 1.0);
+}
+
 /// Cancellation storms against leaders that have followers, across every
 /// backpressure policy: a cancelled leader with waiters is executed as a
 /// ghost (billed, not completed) so its followers still complete; a shed

@@ -3,8 +3,9 @@
 # workspace analyzer), the perf gate, and the tier-1 verify. Three modes:
 #
 #   ./scripts/check.sh          # full: fmt + clippy + release build
-#                               #       + perfbench self-tests
-#                               #       + bench gate + tier-1 tests
+#                               #       + perfbench self-tests + bench
+#                               #       gate + a 2 s run of every
+#                               #       benchmark workload + tier-1
 #   ./scripts/check.sh --quick  # fmt + clippy + a fast label-cache pass
 #                               #       (PROPTEST_CASES=16) + debug tests
 #                               #       (no release build, no bench gate)
@@ -59,6 +60,24 @@ if [[ $mode == full || $mode == smoke ]]; then
     # Perf-regression gate: smoke sweeps compared against the committed
     # baselines (plus the in-process serve==serial equivalence assert).
     ./scripts/bench_gate.sh
+fi
+
+if [[ $mode == full ]]; then
+    # A short run of every workload BENCHMARK.json names, after the bench
+    # gate so its wall-clock sweeps do not follow a loaded stretch. Each
+    # round perfbench checks conservation, event reconciliation, client ==
+    # server counts and label digests under the SLO + cache + obs config;
+    # the last output line must report them all held and no operation
+    # failed. Workload entries are the ones carrying a "why".
+    for wl in $(grep -o '"name": *"[^"]*", *"why"' BENCHMARK.json | cut -d'"' -f4); do
+        echo "==> perfbench --workload $wl --seconds 2"
+        last=$(cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+            --workload "$wl" --seed 1 --seconds 2 --trace 0 | tail -n 1)
+        if [[ $last != *'"correct": true'* || $last != *'"failed": 0,'* ]]; then
+            echo "perfbench $wl failed its checks: ${last:0:200}" >&2
+            exit 1
+        fi
+    done
 fi
 
 if [[ $mode == quick ]]; then
